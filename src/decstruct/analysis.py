@@ -4,7 +4,7 @@ import itertools
 
 from .architectures import DT_LABELS, Leaf, Pred, extract_kbt, format_arch
 from .modules import decompose
-from .structures import DecisionStructure
+from .structures import DecisionStructure, StructureError
 
 
 def cyclomatic(z):
@@ -66,7 +66,9 @@ def classify(z):
     k = len(z.labels())
     kbt = extract_kbt(z)
     is_kbt = kbt is not None
-    assert is_kbt == (report["essential"] == 1)
+    if is_kbt != (report["essential"] == 1):
+        raise StructureError("operator tree found is %s, but essential "
+                             "complexity is %d" % (is_kbt, report["essential"]))
     dt = extract_dt(z)
     result = {
         "nodes": len(z.nodes),

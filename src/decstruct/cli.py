@@ -318,8 +318,6 @@ def build_parser():
         prog="decstruct",
         description="Inspect, transform and verify decision structures.")
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--seed", type=int, default=None,
-                     help="reserved for randomized subcommands")
     sub = top.add_subparsers(dest="command", required=True)
 
     # The global options are accepted after the subcommand as well; the
@@ -328,7 +326,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)

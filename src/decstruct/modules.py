@@ -316,15 +316,18 @@ def _chain_blocks(z, mods):
         if z.source in p and p != everything and _single_exit_class(z, p):
             prefixes.append(p)
     prefixes = sorted(set(prefixes), key=len)
-    assert prefixes, "overlapping modules but no path prefix found"
+    if not prefixes:
+        raise StructureError("overlapping modules but no path prefix found")
     for a, b in zip(prefixes, prefixes[1:]):
-        assert a < b, "path prefixes are not a chain"
+        if not a < b:
+            raise StructureError("path prefixes are not a chain")
     blocks = [prefixes[0]]
     for a, b in zip(prefixes, prefixes[1:]):
         blocks.append(b - a)
     blocks.append(everything - prefixes[-1])
     for b in blocks:
-        assert is_module(z, b), "path block is not a module"
+        if not is_module(z, b):
+            raise StructureError("path block is not a module")
     return blocks
 
 
@@ -347,8 +350,8 @@ def decompose(z):
         blocks += [frozenset([v]) for v in everything - covered]
     q = quotient(z, blocks)
     label = _uniform_path(q)
-    if overlap:
-        assert label is not None, "chain quotient is not a uniform path"
+    if overlap and label is None:
+        raise StructureError("chain quotient is not a uniform path")
     by_id = {block_id(b): b for b in blocks}
     children = []
     for qid in q.topological_order():

@@ -2,10 +2,12 @@
 
 The checker compiles `premises and not conclusion` to negation normal
 form, collapses every maximal propositional subformula into a bitmask
-over world states, and unrolls the rest into a tableau: automaton states
-are sets of outstanding obligations, edges carry a state mask plus the
-until-formulas whose discharge was postponed. A counterexample is then a
-lasso through an SCC that postpones no until forever.
+over world states, and unrolls the rest into a tableau. Each remaining
+obligation is interned to a bit, so an automaton state is a pair of ints:
+the bits of its outstanding obligations and the mask of states it allows.
+Edges carry a state mask plus bits for the until-formulas whose discharge
+was postponed. A counterexample is then a lasso through an SCC that
+postpones no until forever.
 """
 
 from .logic import (FALSE, TRUE, LogicError, MissingSpec, f_and, f_not,
@@ -15,9 +17,17 @@ from .modules import NotAModule, is_module
 
 
 class ResourceLimit(RuntimeError):
-    def __init__(self, limit):
+    """The exploration budget ran out. `conjunct` is (index from 1, count,
+    formula) when verify() was checking one conjunct of a specification."""
+
+    def __init__(self, limit, conjunct=None):
         self.limit = limit
-        super().__init__("exploration budget exceeded (%d)" % limit)
+        self.conjunct = conjunct
+        text = "exploration budget exceeded (%d)" % limit
+        if conjunct is not None:
+            i, n, f = conjunct
+            text += " on conjunct %d of %d: %s" % (i, n, format_formula(f))
+        super().__init__(text)
 
 
 class Budget:
@@ -81,10 +91,6 @@ class Verdict:
 
 
 # -- normal form -------------------------------------------------------------
-
-
-def _mask_node(world, m):
-    return ("mask", m)
 
 
 def _mk_junction(world, op, parts):
@@ -158,156 +164,137 @@ def _untils(f, acc):
 # -- tableau automaton -------------------------------------------------------
 
 
-def _norm_nexts(world, nexts):
-    """Normalize a next-step obligation set: conjoin all mask obligations
-    (None if their conjunction is absurd) and drop any until whose target
-    is itself an obligation in the set, since the target already entails
-    the until one step from now."""
-    mask = world.full_mask
-    rest = []
-    seen_mask = False
-    for g in nexts:
-        if g[0] == "mask":
-            mask &= g[1]
-            seen_mask = True
-        else:
-            rest.append(g)
-    if seen_mask and mask == 0:
-        return None
-    if len(rest) > 1:
-        present = set(rest)
-        rest = [g for g in rest
-                if not (g[0] == "until" and g[2] in present)]
-    if seen_mask and mask != world.full_mask:
-        rest.append(("mask", mask))
-    return frozenset(rest)
-
-
-def _merge(world, covers):
-    out = {}
-    for mask, nexts, pending in covers:
-        nexts = _norm_nexts(world, nexts)
-        if nexts is None:
-            continue
-        key = (nexts, pending)
-        out[key] = out.get(key, 0) | mask
-    return [(m, n, p) for (n, p), m in out.items()]
-
-
-def _product(world, left, right, budget):
-    budget.spend(len(left) * len(right) if left and right else 1)
-    out = {}
-    for m1, n1, p1 in left:
-        for m2, n2, p2 in right:
-            m = m1 & m2
-            if not m:
-                continue
-            nexts = _norm_nexts(world, n1 | n2)
-            if nexts is None:
-                continue
-            key = (nexts, p1 | p2)
-            out[key] = out.get(key, 0) | m
-    return [(m, n, p) for (n, p), m in out.items()]
-
-
-_EMPTY = frozenset()
-
-
 class _Tableau:
-    """Turns obligation sets into covers: (state mask, next-step set,
-    postponed untils). Per-formula cover lists are memoized, per-state
-    covers are their pruned product."""
+    """Turns obligation sets into covers.
 
-    def __init__(self, world, budget):
-        self.world = world
+    Every obligation is interned to a bit index, so a set of them is an
+    int; masks get an index only so that their covers are memoized. A
+    cover is (state mask, next bits, next mask, pending): the states it
+    allows now, the obligations and the mask it leaves for the next step,
+    and the untils whose discharge it postpones, as bits over
+    `conditions`. A next mask equal to the full mask stands for no mask
+    obligation. Covers are memoized per formula and per obligation set,
+    whose covers are the pruned product of its members' in repr order."""
+
+    def __init__(self, world, budget, conditions):
+        self.full = world.full_mask
         self.budget = budget
-        self.memo = {}
+        self.cond_bit = {c: 1 << i for i, c in enumerate(conditions)}
+        self.index = {}      # formula -> bit index
+        self.formulas = []   # bit index -> formula
+        self.keys = []       # bit index -> repr, the order of set_covers
+        self.memo = []       # bit index -> covers, once computed
         self.set_memo = {}
-        self.keys = {}
+        self.targets = []    # (until bit, target bit), non-mask targets
+
+    def intern(self, f):
+        i = self.index.get(f)
+        if i is None:
+            i = self.index[f] = len(self.formulas)
+            self.formulas.append(f)
+            self.keys.append(repr(f))
+            self.memo.append(None)
+            if f[0] == "until" and f[2][0] != "mask":
+                self.targets.append((1 << i, 1 << self.intern(f[2])))
+        return i
+
+    def norm(self, bits):
+        """Drop any until whose target is itself an obligation in the set,
+        since the target already entails the until one step from now."""
+        drop = 0
+        for u, t in self.targets:
+            if bits & u and bits & t:
+                drop |= u
+        return bits & ~drop
+
+    def merge(self, covers):
+        out = {}
+        for mask, bits, nmask, pending in covers:
+            if nmask:
+                key = (self.norm(bits), nmask, pending)
+                out[key] = out.get(key, 0) | mask
+        return [(m, b, n, p) for (b, n, p), m in out.items()]
+
+    def product(self, left, right):
+        self.budget.spend(len(left) * len(right) if left and right else 1)
+        out = {}
+        for m1, b1, n1, p1 in left:
+            for m2, b2, n2, p2 in right:
+                m = m1 & m2
+                nmask = n1 & n2
+                if m and nmask:
+                    key = (self.norm(b1 | b2), nmask, p1 | p2)
+                    out[key] = out.get(key, 0) | m
+        return [(m, b, n, p) for (b, n, p), m in out.items()]
 
     def formula_covers(self, f):
-        got = self.memo.get(f)
+        return self.bit_covers(self.intern(f))
+
+    def bit_covers(self, i):
+        got = self.memo[i]
         if got is not None:
             return got
         self.budget.spend()
+        full = self.full
+        f = self.formulas[i]
         op = f[0]
         if op == "mask":
-            covers = [(f[1], _EMPTY, _EMPTY)] if f[1] else []
+            covers = [(f[1], 0, full, 0)] if f[1] else []
         elif op == "and":
-            covers = [(self.world.full_mask, _EMPTY, _EMPTY)]
+            covers = [(full, 0, full, 0)]
             for p in f[1]:
-                covers = _product(self.world, covers,
-                                  self.formula_covers(p), self.budget)
+                covers = self.product(covers, self.formula_covers(p))
         elif op == "or":
             covers = []
             for p in f[1]:
                 covers.extend(self.formula_covers(p))
-            covers = _merge(self.world, covers)
+            covers = self.merge(covers)
         elif op == "next":
-            covers = [(self.world.full_mask, frozenset([f[1]]), _EMPTY)]
+            # An absurd next mask is dropped by merge or product, which
+            # also charge the budget for it.
+            g = f[1]
+            if g[0] == "mask":
+                covers = [(full, 0, g[1], 0)]
+            else:
+                covers = [(full, 1 << self.intern(g), full, 0)]
         elif op == "until":
             covers = list(self.formula_covers(f[2]))
-            fs, fp = frozenset([f]), frozenset([f])
-            covers.extend((m, n | fs, p | fp)
-                          for m, n, p in self.formula_covers(f[1]))
-            covers = _merge(self.world, covers)
+            bit, cond = 1 << i, self.cond_bit[f]
+            covers.extend((m, b | bit, n, p | cond)
+                          for m, b, n, p in self.formula_covers(f[1]))
+            covers = self.merge(covers)
         elif op == "release":
-            now = _product(self.world, self.formula_covers(f[2]),
-                           self.formula_covers(f[1]), self.budget)
-            fs = frozenset([f])
-            later = [(m, n | fs, p)
-                     for m, n, p in self.formula_covers(f[2])]
-            covers = _merge(self.world, now + later)
+            now = self.product(self.formula_covers(f[2]),
+                               self.formula_covers(f[1]))
+            bit = 1 << i
+            later = [(m, b | bit, n, p)
+                     for m, b, n, p in self.formula_covers(f[2])]
+            covers = self.merge(now + later)
         else:
             raise LogicError("unexpected obligation %r" % (f,))
-        self.memo[f] = covers
+        self.memo[i] = covers
         return covers
 
-    def set_covers(self, formulas):
+    def set_covers(self, bits):
         """Covers of a conjunction of non-mask obligations, memoized."""
-        got = self.set_memo.get(formulas)
+        got = self.set_memo.get(bits)
         if got is not None:
             return got
-        covers = [(self.world.full_mask, _EMPTY, _EMPTY)]
-        for f in sorted(formulas, key=self.sort_key):
-            covers = _product(self.world, covers, self.formula_covers(f),
-                              self.budget)
+        members = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        covers = [(self.full, 0, self.full, 0)]
+        for i in sorted(members, key=self.keys.__getitem__):
+            covers = self.product(covers, self.bit_covers(i))
             if not covers:
                 break
-        self.set_memo[formulas] = covers
+        self.set_memo[bits] = covers
         return covers
-
-    def sort_key(self, f):
-        key = self.keys.get(f)
-        if key is None:
-            key = self.keys[f] = repr(f)
-        return key
-
-    def state_covers(self, state):
-        """Covers of an automaton state: the memoized temporal product,
-        filtered through the state's single mask obligation."""
-        now = self.world.full_mask
-        temporal = []
-        for f in state:
-            if f[0] == "mask":
-                now &= f[1]
-            else:
-                temporal.append(f)
-        base = self.set_covers(frozenset(temporal))
-        if now == self.world.full_mask:
-            return base
-        out = []
-        for m, n, p in base:
-            m &= now
-            if m:
-                out.append((m, n, p))
-        return out
 
 
 class _Automaton:
     def __init__(self, init, edges, conditions, truncated):
         self.init = init
-        # state -> list of (mask, succ, accept-bitmask); bit i of the
+        # state -> list of (mask, succ, accept-bitmask). A state is
+        # (obligation bits, mask) as in _Tableau. Bit i of the accept
         # bitmask is set when the edge discharges conditions[i], i.e. the
         # until was not postponed across this step.
         self.edges = edges
@@ -317,12 +304,16 @@ class _Automaton:
 
 
 def _build(world, phi, budget, bound=None):
-    init = frozenset([phi])
-    tableau = _Tableau(world, budget)
     conditions = sorted(_untils(phi, set()), key=repr)
-    cond_index = {c: i for i, c in enumerate(conditions)}
+    tableau = _Tableau(world, budget, conditions)
+    if phi[0] != "mask":
+        init = (1 << tableau.intern(phi), world.full_mask)
+    else:
+        # -1 filters nothing, like the full mask, but keeps the init state
+        # of a valid phi apart from the empty state it steps to.
+        init = (0, -1 if phi[1] == world.full_mask else phi[1])
     all_bits = (1 << len(conditions)) - 1
-    acc_cache = {_EMPTY: all_bits}
+    steps = {}  # obligation bits -> edges before the state's mask filter
     edges = {}
     depth = {init: 0}
     queue = [init]
@@ -336,18 +327,19 @@ def _build(world, phi, budget, bound=None):
             edges[state] = []
             continue
         budget.spend()
+        bits, now = state
+        base = steps.get(bits)
+        if base is None:
+            base = steps[bits] = [(m, (b, n), all_bits ^ p)
+                                  for m, b, n, p in tableau.set_covers(bits)]
         outs = []
-        for mask, succ, pending in tableau.state_covers(state):
-            if succ not in depth:
-                depth[succ] = depth[state] + 1
-                queue.append(succ)
-            acc = acc_cache.get(pending)
-            if acc is None:
-                acc = all_bits
-                for c in pending:
-                    acc &= ~(1 << cond_index[c])
-                acc_cache[pending] = acc
-            outs.append((mask, succ, acc))
+        for mask, succ, acc in base:
+            mask &= now
+            if mask:
+                if succ not in depth:
+                    depth[succ] = depth[state] + 1
+                    queue.append(succ)
+                outs.append((mask, succ, acc))
         edges[state] = outs
     return _Automaton(init, edges, conditions, truncated)
 
@@ -524,8 +516,11 @@ def verify(z, world, specs, phi, bound=None, limit=5_000_000):
     total = {"automaton_states": 0, "budget_used": 0,
              "bounded": bound is not None, "exhausted": True,
              "conjuncts": len(conjuncts)}
-    for c in conjuncts:
-        v = entails(world, premises, c, bound=bound, limit=limit)
+    for i, c in enumerate(conjuncts, 1):
+        try:
+            v = entails(world, premises, c, bound=bound, limit=limit)
+        except ResourceLimit as exc:
+            raise ResourceLimit(limit, (i, len(conjuncts), c)) from exc
         total["automaton_states"] += v.stats["automaton_states"]
         total["budget_used"] += v.stats["budget_used"]
         total["exhausted"] &= v.stats["exhausted"]

@@ -11,6 +11,7 @@ import itertools
 import random
 
 from decstruct import DecisionStructure, Leaf, Op, Pred
+from decstruct.logic import World
 
 
 # -- modules, straight from the definition ----------------------------------
@@ -203,6 +204,21 @@ def rand_pred_term(rng, max_depth=3):
     return go(max_depth)
 
 
+def replay_world():
+    """The 12-state world of the lasso checks, and its atoms."""
+    world = World([("M", ["m0", "m1", "m2"], False),
+                   ("p", ["p", "!p"], True),
+                   ("q", ["q", "!q"], True)])
+    return world, ["m0", "m1", "m2", "p", "q"]
+
+
+def rand_entailment(rng, atoms):
+    """A random entailment question: up to two premises, one conclusion."""
+    premises = [rand_formula(rng, atoms, rng.randint(1, 3))
+                for _ in range(rng.randint(0, 2))]
+    return premises, rand_formula(rng, atoms, rng.randint(1, 3))
+
+
 def rand_formula(rng, atoms, depth):
     if depth <= 0:
         return ("atom", rng.choice(atoms))
@@ -280,6 +296,15 @@ def holds_on_lasso(world, f, prefix, cycle, pos=0):
         raise ValueError("cannot evaluate %r" % (f,))
 
     return ev(f, pos)
+
+
+def all_lassos(states, max_len):
+    """Every (prefix, cycle) over the given states with a non-empty cycle
+    and at most max_len states in all."""
+    for total in range(1, max_len + 1):
+        for word in itertools.product(states, repeat=total):
+            for split in range(total):
+                yield list(word[:split]), list(word[split:])
 
 
 def seeded(seed):

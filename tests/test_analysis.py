@@ -4,6 +4,7 @@ import pytest
 
 from decstruct import (
     DecisionStructure,
+    StructureError,
     classify,
     complexity_report,
     construct_bt,
@@ -139,3 +140,11 @@ def test_export_fsm_counts():
         z = structure(name)
         lines = export_fsm(z).strip().split("\n")
         assert len(lines) == 2 + 2 * len(z.nodes) + len(z.arcs)
+
+
+def test_classify_invariant_survives_optimized_python(monkeypatch):
+    # a broken invariant raises StructureError, not an assert that -O strips
+    import decstruct.analysis as analysis
+    monkeypatch.setattr(analysis, "extract_kbt", lambda z: None)
+    with pytest.raises(StructureError, match="essential complexity is 1"):
+        classify(structure("btswitch"))

@@ -183,6 +183,17 @@ def test_verify_bounded_note(capsys):
     assert "within bound only" in out
 
 
+def test_verify_budget_error_names_the_conjunct(capsys):
+    code, _, err = run(capsys, "verify", corpus_path("z1.ds"),
+                       "--world", corpus_path("drone.wld"),
+                       "--actions", corpus_path("drone.act"),
+                       "--spec", corpus_path("spec.ltl"),
+                       "--limit", "3")
+    assert code == 1
+    assert err.startswith("error: exploration budget exceeded (3) on "
+                          "conjunct 1 of 2: G ((b0 -> landed)")
+
+
 def test_check_replace_module(capsys):
     code, out, _ = run(capsys, "check-replace", corpus_path("z2.ds"),
                        "--module", "b0,bLow,calm,bHigh,bright,Avoid,Land",

@@ -247,3 +247,11 @@ def test_quotient_of_modular_partition_validates():
         for part in enumerate_modular_partitions(z)[:6]:
             q = quotient(z, part)
             assert len(q.nodes) == len(part)
+
+
+def test_decompose_invariant_survives_optimized_python(monkeypatch):
+    # a broken invariant raises StructureError, not an assert that -O strips
+    import decstruct.modules as modules
+    monkeypatch.setattr(modules, "_uniform_path", lambda q: None)
+    with pytest.raises(StructureError, match="not a uniform path"):
+        decompose(structure("btswitch"))

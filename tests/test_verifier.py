@@ -1,5 +1,8 @@
 """Tableau verifier: entailment, lasso counterexamples, replacement checks."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from decstruct import (
@@ -17,7 +20,8 @@ from decstruct import (
     verify,
 )
 from decstruct.verifier import compile_nnf
-from oracles import holds_on_lasso
+from oracles import (all_lassos, holds_on_lasso, rand_entailment,
+                     replay_world, seeded)
 
 
 def w2():
@@ -84,6 +88,68 @@ def test_entails_budget():
     with pytest.raises(ResourceLimit):
         entails(w, [parse_ltl("G (p -> X q) & G (q -> X p)")],
                 parse_ltl("G F (p & q)"), limit=3)
+
+
+def test_verify_budget_names_the_conjunct():
+    w = parse_world("bool p\nbool q\ninit: p\n")
+    z = DecisionStructure([("a", "A")], [])
+    specs = parse_actions("action A { model: X p; }")
+    with pytest.raises(ResourceLimit) as exc:
+        verify(z, w, specs, parse_ltl("G p & F q"), limit=3)
+    assert exc.value.limit == 3
+    assert exc.value.conjunct == (1, 2, parse_ltl("G p"))
+    assert "on conjunct 1 of 2: G p" in str(exc.value)
+
+
+def test_valid_propositional_phi_keeps_its_init_state():
+    # premises & !conclusion compiles to the full mask: the init state
+    # still steps to the empty state instead of being it
+    v = entails(w2(), [], parse_ltl("p & !p"))
+    assert v.stats["automaton_states"] == 2
+    assert (v.counterexample.prefix, v.counterexample.cycle) == \
+        ([(0, 0)], [(0, 0)])
+
+
+# sha256 over the first 300 seed-606 entailment questions on the 12-state
+# world of the lasso checks: each verdict, automaton size, budget used and
+# counterexample, one repr per line.
+REPLAY_DIGEST = \
+    "091572809be00b6cce84d0ce1ae253b9082824528850b48e0636045c97cecda7"
+
+
+def test_entails_observables_are_pinned():
+    rng = seeded(606)
+    w, atoms = replay_world()
+    rows = []
+    for _ in range(300):
+        v = entails(w, *rand_entailment(rng, atoms))
+        tr = v.counterexample
+        rows.append(repr((v.holds, v.stats["automaton_states"],
+                          v.stats["budget_used"], tr and tr.prefix,
+                          tr and tr.cycle)))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == REPLAY_DIGEST
+
+
+def test_proved_entailments_survive_every_short_lasso():
+    """No lasso of up to three states that satisfies the premises refutes
+    a conclusion entails() proves."""
+    rng = seeded(606)
+    w, atoms = replay_world()
+    states = list(itertools.product(
+        *[range(len(values)) for _, values, _ in w.variables]))
+    lassos = list(all_lassos(states, 3))
+    proved = 0
+    for _ in range(300):
+        premises, conclusion = rand_entailment(rng, atoms)
+        if not entails(w, premises, conclusion).holds:
+            continue
+        proved += 1
+        for prefix, cycle in lassos:
+            if all(holds_on_lasso(w, f, prefix, cycle) for f in premises):
+                assert holds_on_lasso(w, conclusion, prefix, cycle), \
+                    (premises, conclusion, prefix, cycle)
+    assert proved >= 30
 
 
 def test_entails_bound_reports_non_exhaustive():
