@@ -2,7 +2,7 @@
 
 import itertools
 
-from .architectures import DT_LABELS, Leaf, Pred, extract_kbt, format_arch
+from .architectures import DT_LABELS, Leaf, Pred, _kbt_term, format_arch
 from .modules import decompose
 from .structures import DecisionStructure, StructureError
 
@@ -22,7 +22,10 @@ def essential(z):
 
 
 def complexity_report(z):
-    tree = decompose(z)
+    return _complexity(z, decompose(z))
+
+
+def _complexity(z, tree):
     best, witness = 1, None
     for d in tree.walk():
         if d.is_leaf():
@@ -62,9 +65,10 @@ def extract_dt(z):
 
 def classify(z):
     """Which architectures can express this structure, with witnesses."""
-    report = complexity_report(z)
+    tree = decompose(z)
+    report = _complexity(z, tree)
     k = len(z.labels())
-    kbt = extract_kbt(z)
+    kbt = _kbt_term(tree)
     is_kbt = kbt is not None
     if is_kbt != (report["essential"] == 1):
         raise StructureError("operator tree found is %s, but essential "

@@ -13,6 +13,7 @@ Three tree languages share one graph target:
 
 from collections import namedtuple
 
+from .modules import decompose
 from .structures import DecisionStructure, StructureError
 
 Leaf = namedtuple("Leaf", ["action"])
@@ -72,15 +73,7 @@ def construct_kbt(tree):
             t = t.children[0]
         return index[id(t)]
 
-    labels = set()
-
-    def collect(t):
-        if isinstance(t, Op):
-            labels.add(t.label)
-            for c in t.children:
-                collect(c)
-    collect(tree)
-
+    labels = {op.label for op in _ops(tree)}
     arcs = []
 
     def walk(t, ancestors):
@@ -173,29 +166,23 @@ def compress(tree):
 
 
 def extract_kbt(z):
-    """Recover an operator tree from a structure, or None if there is none.
+    """Recover an operator tree from a structure, or None if there is none."""
+    return _kbt_term(decompose(z))
 
-    Works off the modular decomposition: a structure is an operator-tree
-    image exactly when every quotient on the way down is a uniformly
-    labeled path, which then names the operator at that level.
-    """
-    from .modules import decompose
 
-    def build(d):
-        if d.is_leaf():
-            return Leaf(d.action)
-        if d.kind != "path":
-            return None
-        parts = []
-        for c in d.children:
-            sub = build(c)
-            if sub is None:
-                return None
-            parts.append(sub)
-        return Op(d.label, parts)
+def _kbt_term(d):
+    """The compressed operator tree of decomposition d, or None. There is
+    one exactly when every quotient on the way down is a uniformly
+    labeled path, which then names the operator at that level."""
+    if any(n.kind == "prime" for n in d.walk()):
+        return None
+    return compress(_path_term(d))
 
-    tree = build(decompose(z))
-    return compress(tree) if tree is not None else None
+
+def _path_term(d):
+    if d.is_leaf():
+        return Leaf(d.action)
+    return Op(d.label, [_path_term(c) for c in d.children])
 
 
 # -- term syntax -----------------------------------------------------------
@@ -231,7 +218,7 @@ def parse_arch(text):
             if pos >= len(tokens):
                 raise ArchError("missing ')'")
             if tokens[pos] == ")":
-                pos_advance()
+                next_token()
                 break
             args.append(parse_term())
         if head == "seq":
@@ -251,10 +238,6 @@ def parse_arch(text):
                 raise ArchError("(dt <pred> <yes> <no>) is ternary")
             return Pred(args[0].action, args[1], args[2])
         raise ArchError("unknown operator %r" % head)
-
-    def pos_advance():
-        nonlocal pos
-        pos += 1
 
     term = parse_term()
     if pos != len(tokens):

@@ -75,8 +75,7 @@ def export_dot(z, decomposition=None):
                 return
             counter[0] += 1
             lines.append('%ssubgraph cluster_%d {' % (indent, counter[0]))
-            tag = d.kind if d.kind != "path" else "path[%s]" % d.label
-            lines.append('%s  label="%s";' % (indent, tag))
+            lines.append('%s  label="%s";' % (indent, d.tag))
             for c in d.children:
                 emit(c, indent + "  ")
             lines.append('%s}' % indent)
@@ -91,8 +90,7 @@ def export_dot(z, decomposition=None):
 def _decomp_text(d, indent=""):
     if d.is_leaf():
         return ["%sleaf %s (%s)" % (indent, d.node, d.action)]
-    tag = d.kind if d.kind != "path" else "path[%s]" % d.label
-    lines = ["%s%s {%s}" % (indent, tag, ",".join(sorted(d.members)))]
+    lines = ["%s%s {%s}" % (indent, d.tag, ",".join(sorted(d.members)))]
     for c in d.children:
         lines.extend(_decomp_text(c, indent + "  "))
     return lines

@@ -169,11 +169,7 @@ def quotient(z, blocks):
         for m in b:
             home[m] = b
     topo_pos = {v: i for i, v in enumerate(z.topological_order())}
-
-    def source_pos(b):
-        return min(topo_pos[m] for m in b) if len(b) > 1 else topo_pos[next(iter(b))]
-
-    ordered = sorted(blocks, key=source_pos)
+    ordered = sorted(blocks, key=lambda b: min(topo_pos[m] for m in b))
     qnodes = []
     for b in ordered:
         bid = block_id(b)
@@ -275,11 +271,15 @@ class DecompositionNode:
             d["children"] = [c.to_dict() for c in self.children]
         return d
 
+    @property
+    def tag(self):
+        """The kind, with the label for a path: "path[s]", "prime", "leaf"."""
+        return "path[%s]" % self.label if self.kind == "path" else self.kind
+
     def __repr__(self):
         if self.kind == "leaf":
             return "Leaf(%s)" % self.node
-        tag = self.kind if self.kind != "path" else "path[%s]" % self.label
-        return "%s(%s)" % (tag, ", ".join(repr(c) for c in self.children))
+        return "%s(%s)" % (self.tag, ", ".join(repr(c) for c in self.children))
 
 
 def _uniform_path(q):
@@ -332,22 +332,31 @@ def _chain_blocks(z, mods):
 
 
 def decompose(z):
-    """Recursive modular decomposition of a decision structure."""
+    """Recursive modular decomposition of a decision structure.
+
+    Modules are searched for once: for a module M of z, the modules of
+    z.induced(M) are exactly the modules of z inside M.
+    """
     if len(z.nodes) == 1:
-        v = z.source
-        return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
+        return _leaf(z, z.source)
+    return _decompose(z, nontrivial_modules(z))
+
+
+def _leaf(z, v):
+    return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
+
+
+def _decompose(z, mods):
+    """decompose for 2+ nodes, given z's modules but its full node set."""
     everything = frozenset(z.action_of)
-    mods = nontrivial_modules(z)
-    maximal = [m for m in mods if not any(m < o for o in mods)]
+    # mods ascend by size, so a superset of m is found soonest from the end
+    maximal = [m for m in mods if not any(m < o for o in reversed(mods))]
     overlap = any(a & b for i, a in enumerate(maximal) for b in maximal[i + 1:])
     if overlap:
         blocks = _chain_blocks(z, mods)
     else:
-        covered = set()
-        for m in maximal:
-            covered |= m
-        blocks = list(maximal)
-        blocks += [frozenset([v]) for v in everything - covered]
+        covered = set().union(*maximal)
+        blocks = maximal + [frozenset([v]) for v in everything - covered]
     q = quotient(z, blocks)
     label = _uniform_path(q)
     if overlap and label is None:
@@ -357,11 +366,10 @@ def decompose(z):
     for qid in q.topological_order():
         b = by_id[qid]
         if len(b) == 1:
-            v = next(iter(b))
-            children.append(DecompositionNode("leaf", [v], node=v,
-                                              action=z.action_of[v]))
+            children.append(_leaf(z, qid))
         else:
-            children.append(decompose(z.induced(b)))
+            inner = [m for m in mods if m < b]
+            children.append(_decompose(z.induced(b), inner))
     kind = "path" if label is not None else "prime"
     return DecompositionNode(kind, everything, label=label,
                              children=children, quotient=q)

@@ -70,6 +70,36 @@ def oracle_modules(z):
     return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
+def oracle_decompose(z):
+    """Modular decomposition that searches every induced child for its own
+    modules and keeps the maximal ones by a full scan, so it does not rest
+    on the restriction lemma that decompose uses."""
+    from decstruct.modules import (DecompositionNode, _chain_blocks,
+                                   _uniform_path, block_id, find_modules,
+                                   quotient)
+    if len(z.nodes) == 1:
+        v = z.source
+        return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
+    everything = frozenset(z.action_of)
+    mods = [m for m in find_modules(z) if m != everything]
+    maximal = [m for m in mods if not any(m < o for o in mods)]
+    overlap = any(a & b for i, a in enumerate(maximal)
+                  for b in maximal[i + 1:])
+    if overlap:
+        blocks = _chain_blocks(z, mods)
+    else:
+        covered = set().union(*maximal)
+        blocks = maximal + [frozenset([v]) for v in everything - covered]
+    q = quotient(z, blocks)
+    label = _uniform_path(q)
+    by_id = {block_id(b): b for b in blocks}
+    children = [oracle_decompose(z.induced(by_id[qid]))
+                for qid in q.topological_order()]
+    kind = "path" if label is not None else "prime"
+    return DecompositionNode(kind, everything, label=label,
+                             children=children, quotient=q)
+
+
 # -- interpreters for operator terms -----------------------------------------
 
 

@@ -4,10 +4,13 @@ import pytest
 
 from decstruct import (
     DecisionStructure,
+    Leaf,
+    Op,
     StructureError,
     classify,
     complexity_report,
     construct_bt,
+    construct_kbt,
     cyclomatic,
     essential,
     export_fsm,
@@ -15,6 +18,8 @@ from decstruct import (
     format_arch,
     relabelings,
 )
+import decstruct.analysis as analysis
+import decstruct.modules as modules
 from decstruct.analysis import classify_text
 from conftest import structure
 
@@ -144,7 +149,36 @@ def test_export_fsm_counts():
 
 def test_classify_invariant_survives_optimized_python(monkeypatch):
     # a broken invariant raises StructureError, not an assert that -O strips
-    import decstruct.analysis as analysis
-    monkeypatch.setattr(analysis, "extract_kbt", lambda z: None)
+    monkeypatch.setattr(analysis, "_kbt_term", lambda tree: None)
     with pytest.raises(StructureError, match="essential complexity is 1"):
         classify(structure("btswitch"))
+
+
+def deep_alternating(n):
+    """(seq a0 (fb a1 (seq a2 ... a<n-1>)))"""
+    term = Leaf("a%d" % (n - 1))
+    for i in range(n - 2, -1, -1):
+        term = Op("sf"[i % 2], [Leaf("a%d" % i), term])
+    return construct_kbt(term)
+
+
+@pytest.mark.parametrize("z", [structure("btswitch"), deep_alternating(20)],
+                         ids=["btswitch", "deep_alternating"])
+def test_modules_and_decomposition_are_computed_once(monkeypatch, z):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(modules, "find_modules",
+                        counted("find_modules", modules.find_modules))
+    monkeypatch.setattr(analysis, "decompose",
+                        counted("decompose", analysis.decompose))
+    modules.decompose(z)
+    assert calls == ["find_modules"]
+    calls.clear()
+    classify(z)
+    assert calls == ["decompose", "find_modules"]

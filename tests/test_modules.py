@@ -1,5 +1,7 @@
 """Module detection, quotients, contraction/expansion, decomposition."""
 
+import glob
+
 import pytest
 
 from decstruct import (
@@ -10,6 +12,7 @@ from decstruct import (
     SizeLimitExceeded,
     StructureError,
     block_id,
+    construct_kbt,
     contract,
     decompose,
     derived_return,
@@ -17,12 +20,14 @@ from decstruct import (
     expand,
     find_modules,
     is_module,
+    load_structure,
     nontrivial_modules,
     quotient,
     structurally_equivalent,
 )
-from conftest import structure
-from oracles import oracle_is_module, oracle_modules, rand_structure, seeded
+from conftest import CORPUS, structure
+from oracles import (oracle_decompose, oracle_is_module, oracle_modules,
+                     rand_structure, rand_term, seeded)
 
 
 def chain(n, label="d"):
@@ -255,3 +260,38 @@ def test_decompose_invariant_survives_optimized_python(monkeypatch):
     monkeypatch.setattr(modules, "_uniform_path", lambda q: None)
     with pytest.raises(StructureError, match="not a uniform path"):
         decompose(structure("btswitch"))
+
+
+def random_structures():
+    rng = seeded(202)  # the structures of suite_decomposition
+    return [rand_structure(rng, rng.randint(1, 10)) for _ in range(210)]
+
+
+def kbt_structures():
+    rng = seeded(2020)
+    return [construct_kbt(rand_term(rng, labels=("s", "f", "m"),
+                                    max_leaves=12))
+            for _ in range(150)]
+
+
+def corpus_structures():
+    return [load_structure(p) for p in sorted(glob.glob(CORPUS + "/*.ds"))]
+
+
+def test_decompose_matches_a_fresh_module_search_per_level():
+    for z in random_structures() + kbt_structures() + corpus_structures():
+        got, want = decompose(z), oracle_decompose(z)
+        assert got.to_dict() == want.to_dict(), format(z)
+        for g, w in zip(got.walk(), want.walk()):
+            if not g.is_leaf():
+                assert g.quotient.nodes == w.quotient.nodes
+                assert g.quotient.arcs == w.quotient.arcs
+
+
+def test_modules_of_a_module_are_the_modules_of_z_inside_it():
+    rng = seeded(20261018)
+    randoms = [rand_structure(rng, rng.randint(2, 12)) for _ in range(150)]
+    for z in randoms + kbt_structures():
+        mods = find_modules(z)
+        for m in mods:
+            assert find_modules(z.induced(m)) == [o for o in mods if o <= m]
