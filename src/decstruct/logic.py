@@ -540,7 +540,11 @@ def selection_condition(z, v):
 
 def return_condition(z, value):
     """The condition under which the whole structure returns `value`."""
-    sel = selection_conditions(z)
+    return _return_condition(z, selection_conditions(z), value)
+
+
+def _return_condition(z, sel, value):
+    """return_condition, given z's selection_conditions."""
     parts = [f_and([sel[v], _ret(z.action_of[v], value)])
              for v, _ in z.nodes]
     return f_or(parts)
@@ -549,7 +553,11 @@ def return_condition(z, value):
 def build_psi(z, specs):
     """One tick of the structure: the selected node's action behaves as
     modeled. Disjunction over distinct actions of (selected ∧ model)."""
-    sel = selection_conditions(z)
+    return _build_psi(z, selection_conditions(z), specs)
+
+
+def _build_psi(z, sel, specs):
+    """build_psi, given z's selection_conditions."""
     by_action = {}
     for v, a in z.nodes:
         by_action.setdefault(a, []).append(sel[v])

@@ -8,11 +8,17 @@ the bits of its outstanding obligations and the mask of states it allows.
 Edges carry a state mask plus bits for the until-formulas whose discharge
 was postponed. A counterexample is then a lasso through an SCC that
 postpones no until forever.
+
+Many edges of a state share a successor, so the automaton keeps each
+state's distinct successors, with the union of their edges' masks and
+accept bits. The SCC search needs only those, and acceptance reads a
+group's own edges only when its union could add bits. Concrete edges are
+cut from the covers on demand, where the lasso search needs them.
 """
 
-from .logic import (FALSE, TRUE, LogicError, MissingSpec, f_and, f_not,
-                    format_formula, ground, build_psi, return_condition,
-                    validate_actions)
+from .logic import (FALSE, TRUE, LogicError, MissingSpec, _build_psi,
+                    _return_condition, f_and, f_not, format_formula, ground,
+                    build_psi, selection_conditions, validate_actions)
 from .modules import NotAModule, is_module
 
 
@@ -291,16 +297,39 @@ class _Tableau:
 
 
 class _Automaton:
-    def __init__(self, init, edges, conditions, truncated):
+    def __init__(self, init, succs, steps, conditions, truncated):
         self.init = init
-        # state -> list of (mask, succ, accept-bitmask). A state is
-        # (obligation bits, mask) as in _Tableau. Bit i of the accept
-        # bitmask is set when the edge discharges conditions[i], i.e. the
-        # until was not postponed across this step.
-        self.edges = edges
+        # obligation bits -> covers (mask, succ, accept-bitmask) in cover
+        # order. A state is (obligation bits, mask) as in _Tableau and,
+        # once expanded, its edges are the covers of its bits cut to its
+        # mask, in the same order. Bit i of the accept bitmask is set
+        # when the cover discharges conditions[i], i.e. the until was not
+        # postponed across this step.
+        self.steps = steps
+        # state -> its distinct successors: the groups of steps[bits],
+        # (succ, mask union, accept union, covers), whose mask union
+        # meets the state's mask. Concrete edges are cut from a group's
+        # covers only where acceptance or the lasso needs them.
+        self.succs = succs
         self.conditions = conditions
         self.all_bits = (1 << len(conditions)) - 1
         self.truncated = truncated  # states seen but not expanded (bound)
+
+
+def _group(covers):
+    """Covers grouped by successor in first-appearance order, as (succ,
+    mask union, accept union, the group's covers)."""
+    by_succ = {}
+    for cover in covers:
+        mask, succ, acc = cover
+        g = by_succ.get(succ)
+        if g is None:
+            by_succ[succ] = [mask, acc, [cover]]
+        else:
+            g[0] |= mask
+            g[1] |= acc
+            g[2].append(cover)
+    return [(succ, m, a, c) for succ, (m, a, c) in by_succ.items()]
 
 
 def _build(world, phi, budget, bound=None):
@@ -313,8 +342,9 @@ def _build(world, phi, budget, bound=None):
         # of a valid phi apart from the empty state it steps to.
         init = (0, -1 if phi[1] == world.full_mask else phi[1])
     all_bits = (1 << len(conditions)) - 1
-    steps = {}  # obligation bits -> edges before the state's mask filter
-    edges = {}
+    steps = {}    # obligation bits -> covers before the state's mask filter
+    grouped = {}  # obligation bits -> _group(steps[bits])
+    succs = {}
     depth = {init: 0}
     queue = [init]
     truncated = set()
@@ -324,35 +354,39 @@ def _build(world, phi, budget, bound=None):
         qi += 1
         if bound is not None and depth[state] >= bound:
             truncated.add(state)
-            edges[state] = []
+            succs[state] = []
             continue
         budget.spend()
         bits, now = state
-        base = steps.get(bits)
-        if base is None:
-            base = steps[bits] = [(m, (b, n), all_bits ^ p)
-                                  for m, b, n, p in tableau.set_covers(bits)]
-        outs = []
-        for mask, succ, acc in base:
-            mask &= now
-            if mask:
-                if succ not in depth:
-                    depth[succ] = depth[state] + 1
-                    queue.append(succ)
-                outs.append((mask, succ, acc))
-        edges[state] = outs
-    return _Automaton(init, edges, conditions, truncated)
+        groups = grouped.get(bits)
+        if groups is None:
+            steps[bits] = [(m, (b, n), all_bits ^ p)
+                           for m, b, n, p in tableau.set_covers(bits)]
+            groups = grouped[bits] = _group(steps[bits])
+        outs = succs[state] = [g for g in groups if g[1] & now]
+        # Queue new states in the order of their first edges, as a walk
+        # over the edges does: the queue order fixes the order in which
+        # obligations are interned, and so the bits that name each state.
+        fresh = [next(c for c in covers if c[0] & now)
+                 for succ, _, _, covers in outs if succ not in depth]
+        fresh.sort(key=steps[bits].index)
+        for c in fresh:
+            depth[c[1]] = depth[state] + 1
+            queue.append(c[1])
+    return _Automaton(init, succs, steps, conditions, truncated)
 
 
 def _sccs(auto):
-    """Iterative Tarjan; returns a list of state sets."""
+    """Iterative Tarjan over the successor lists; returns a list of state
+    sets."""
+    succs = auto.succs
     index, low, on = {}, {}, set()
     stack, out = [], []
     counter = [0]
-    for root in auto.edges:
+    for root in succs:
         if root in index:
             continue
-        work = [(root, iter(auto.edges[root]))]
+        work = [(root, iter(succs[root]))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -360,13 +394,13 @@ def _sccs(auto):
         while work:
             node, it = work[-1]
             advanced = False
-            for _, succ, _ in it:
+            for succ, _, _, _ in it:
                 if succ not in index:
                     index[succ] = low[succ] = counter[0]
                     counter[0] += 1
                     stack.append(succ)
                     on.add(succ)
-                    work.append((succ, iter(auto.edges[succ])))
+                    work.append((succ, iter(succs[succ])))
                     advanced = True
                     break
                 if succ in on:
@@ -390,46 +424,67 @@ def _sccs(auto):
 
 
 def _accepting_sccs(auto):
+    """SCCs with an internal edge that discharge every condition. A
+    group's covers are read only when its accept union could add bits."""
     good = []
+    all_bits = auto.all_bits
     for comp in _sccs(auto):
         seen = 0
         internal = False
         for st in comp:
-            for _, succ, acc in auto.edges[st]:
+            now = st[1]
+            for succ, _, acc, covers in auto.succs[st]:
                 if succ in comp:
                     internal = True
-                    seen |= acc
-            if internal and seen == auto.all_bits:
+                    if acc & ~seen:
+                        for mask, _, a in covers:
+                            if mask & now:
+                                seen |= a
+            if internal and seen == all_bits:
                 break
-        if internal and seen == auto.all_bits:
+        if internal and seen == all_bits:
             good.append(comp)
     return good
 
 
-def _bfs_edges(auto, start, goal_test, allowed=None):
-    """Shortest edge path from `start` to the first edge satisfying
-    goal_test(state, edge); returns the path as a list of edges or None."""
+def _bfs_edges(auto, start, goal, allowed=None):
+    """Shortest edge path from `start` to the first edge (mask, succ,
+    accept) with goal(succ, accept), taking states breadth first and each
+    state's edges in cover order, and passing only through states in
+    `allowed` when given; returns the path as a list of edges or None.
+
+    The search walks successor groups, so goal(succ, accept union) must
+    hold for every group that has a goal edge. Edges are cut from a
+    group's covers only for goal candidates and new states."""
     parent = {start: None}
     queue = [start]
     qi = 0
     while qi < len(queue):
         st = queue[qi]
         qi += 1
-        for edge in auto.edges[st]:
-            if goal_test(st, edge):
-                path = [(st, edge)]
-                back = st
-                while parent[back] is not None:
-                    prev, pedge = parent[back]
-                    path.append((prev, pedge))
-                    back = prev
-                return [e for _, e in reversed(path)]
-            succ = edge[1]
-            if allowed is not None and succ not in allowed:
-                continue
-            if succ not in parent:
-                parent[succ] = (st, edge)
-                queue.append(succ)
+        now = st[1]
+        hits, fresh = [], []
+        for succ, _, acc, covers in auto.succs[st]:
+            if goal(succ, acc):
+                for c in covers:
+                    if c[0] & now and goal(succ, c[2]):
+                        hits.append(c)
+                        break
+            if succ not in parent and (allowed is None or succ in allowed):
+                fresh.append(next(c for c in covers if c[0] & now))
+        if hits:
+            c = min(hits, key=auto.steps[st[0]].index)
+            path = [(c[0] & now, c[1], c[2])]
+            back = st
+            while parent[back] is not None:
+                back, edge = parent[back]
+                path.append(edge)
+            return path[::-1]
+        if fresh:
+            fresh.sort(key=auto.steps[st[0]].index)
+        for c in fresh:
+            parent[c[1]] = (st, (c[0] & now, c[1], c[2]))
+            queue.append(c[1])
     return None
 
 
@@ -444,7 +499,7 @@ def _extract_lasso(world, auto, sccs):
         entry = auto.init
     else:
         prefix_edges = _bfs_edges(auto, auto.init,
-                                  lambda st, e: e[1] in inside)
+                                  lambda succ, acc: succ in inside)
         entry = prefix_edges[-1][1]
     comp = inside[entry]
 
@@ -455,13 +510,12 @@ def _extract_lasso(world, auto, sccs):
         if any(e[2] & bit for e in cycle_edges):
             continue
         seg = _bfs_edges(auto, cur,
-                         lambda st, e: e[1] in comp and e[2] & bit,
+                         lambda succ, acc: succ in comp and acc & bit,
                          allowed=comp)
         cycle_edges.extend(seg)
         cur = seg[-1][1]
     if cur != entry or not cycle_edges:
-        seg = _bfs_edges(auto, cur,
-                         lambda st, e: e[1] == entry,
+        seg = _bfs_edges(auto, cur, lambda succ, acc: succ == entry,
                          allowed=comp)
         cycle_edges.extend(seg)
 
@@ -483,7 +537,7 @@ def entails(world, premises, conclusion, bound=None, limit=5_000_000):
     auto = _build(world, compiled, budget, bound=bound)
     sccs = _accepting_sccs(auto)
     stats = {
-        "automaton_states": len(auto.edges),
+        "automaton_states": len(auto.succs),
         "budget_used": budget.used,
         "bounded": bound is not None,
         "exhausted": not auto.truncated,
@@ -581,6 +635,7 @@ def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
     k = z.induced(members)
     r_out = sorted({r for t, h, r in z.arcs
                     if t in members and h not in members})
+    sel_k, sel_q = selection_conditions(k), selection_conditions(q)
     notes = []
     returns = {}
     ok = True
@@ -591,8 +646,8 @@ def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
                 if a in specs:
                     candidates |= set(specs[a].returns)
         for v in sorted(candidates):
-            mo = world.mask(ground(return_condition(k, v), specs))
-            mn = world.mask(ground(return_condition(q, v), specs))
+            mo = world.mask(ground(_return_condition(k, sel_k, v), specs))
+            mn = world.mask(ground(_return_condition(q, sel_q, v), specs))
             if v in r_out:
                 equal = mo == mn
                 returns[v] = {"old": mo, "new": mn, "equal": equal,
@@ -607,8 +662,8 @@ def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
         notes.append("module has no outgoing arcs; return conditions are "
                      "invisible and were not compared")
     rules = f_and([f for _, f in world.rules])
-    psi_k = ground(build_psi(k, specs), specs)
-    psi_q = ground(build_psi(q, specs), specs)
+    psi_k = ground(_build_psi(k, sel_k, specs), specs)
+    psi_q = ground(_build_psi(q, sel_q, specs), specs)
     behavior = entails(world, [("always", rules), psi_q], psi_k, limit=limit)
     ok &= behavior.holds
     return ReplacementReport(ok, returns, behavior, notes)

@@ -3,8 +3,8 @@
 Everything here is written directly from the definitions, trading speed
 for obviousness: module membership is tested clause by clause, modules are
 found by enumerating subsets, operator terms are run by a recursive
-interpreter, and temporal formulas are evaluated on lasso words position
-by position.
+interpreter, temporal formulas are evaluated on lasso words position by
+position, and automaton emptiness is decided on spelled-out edges.
 """
 
 import itertools
@@ -271,6 +271,133 @@ def rand_formula(rng, atoms, depth):
     if pick < 0.91:
         return ("eventually", rand_formula(rng, atoms, depth - 1))
     return ("always", rand_formula(rng, atoms, depth - 1))
+
+
+# -- automaton emptiness ------------------------------------------------------
+
+
+def concrete_edges(auto):
+    """Every state's (mask, succ, accept) edges, spelled out: the covers of
+    its obligation bits cut to its mask, in cover order. States left
+    unexpanded by a bound have none."""
+    edges = {}
+    for st in auto.succs:
+        bits, now = st
+        edges[st] = [] if st in auto.truncated else [
+            (mask & now, succ, acc) for mask, succ, acc in auto.steps[bits]
+            if mask & now]
+    return edges
+
+
+def kosaraju_sccs(graph):
+    """Strongly connected components of a graph (node -> successors) by
+    Kosaraju's two passes: finishing order on the graph, then search of
+    the reversed graph in reverse finishing order."""
+    order, seen = [], set()
+    for root in graph:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, it = stack[-1]
+            for succ in it:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(graph[succ])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    back = {node: [] for node in graph}
+    for node, succs in graph.items():
+        for succ in succs:
+            back[succ].append(node)
+    comps, placed = [], set()
+    for root in reversed(order):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp, todo = {root}, [root]
+        while todo:
+            for prev in back[todo.pop()]:
+                if prev not in placed:
+                    placed.add(prev)
+                    comp.add(prev)
+                    todo.append(prev)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def oracle_accepting_sccs(edges, comps, all_bits):
+    """The components with an edge inside them, whose inside edges
+    together discharge every condition (OR of the per-edge accept bits)."""
+    good = []
+    for comp in comps:
+        inner = [acc for st in comp for _, succ, acc in edges[st]
+                 if succ in comp]
+        seen = 0
+        for acc in inner:
+            seen |= acc
+        if inner and seen == all_bits:
+            good.append(comp)
+    return good
+
+
+def bfs_order(edges, init):
+    """States in the order a breadth-first walk from init meets them,
+    taking each state's edges in order."""
+    order, seen = [init], {init}
+    for st in order:
+        for _, succ, _ in edges[st]:
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+    return order
+
+
+def _edge_path(edges, start, goal, allowed=None):
+    """Shortest path of edges from start to the first edge with goal(edge),
+    breadth first and each state's edges in order, passing only through
+    states in `allowed` when given."""
+    parent = {start: None}
+    queue = [start]
+    for st in queue:
+        for edge in edges[st]:
+            if goal(edge):
+                path = [edge]
+                while parent[st] is not None:
+                    st, prev = parent[st]
+                    path.append(prev)
+                return path[::-1]
+            succ = edge[1]
+            if (allowed is None or succ in allowed) and succ not in parent:
+                parent[succ] = (st, edge)
+                queue.append(succ)
+    return None
+
+
+def oracle_lasso(world, init, edges, accepting, n_conditions):
+    """The lasso the verifier reports, built on spelled-out edges: the
+    shortest path into an accepting SCC, then, inside it, the shortest
+    path to an edge discharging each condition not yet discharged, then
+    back to the entry state. Returns (prefix, cycle) as world states."""
+    inside = {st: comp for comp in accepting for st in comp}
+    prefix = [] if init in inside else \
+        _edge_path(edges, init, lambda e: e[1] in inside)
+    entry = prefix[-1][1] if prefix else init
+    comp = inside[entry]
+    cycle, cur = [], entry
+    for k in range(n_conditions):
+        if any(e[2] >> k & 1 for e in cycle):
+            continue
+        cycle += _edge_path(edges, cur,
+                            lambda e: e[1] in comp and e[2] >> k & 1, comp)
+        cur = cycle[-1][1]
+    if cur != entry or not cycle:
+        cycle += _edge_path(edges, cur, lambda e: e[1] == entry, comp)
+    return ([world.min_state(e[0]) for e in prefix],
+            [world.min_state(e[0]) for e in cycle])
 
 
 # -- lasso evaluation ---------------------------------------------------------

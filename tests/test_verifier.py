@@ -19,9 +19,14 @@ from decstruct import (
     parse_world,
     verify,
 )
-from decstruct.verifier import compile_nnf
-from oracles import (all_lassos, holds_on_lasso, rand_entailment,
-                     replay_world, seeded)
+from decstruct import logic, verifier
+from decstruct.logic import f_and, f_not
+from decstruct.verifier import (Budget, _accepting_sccs, _build,
+                                _extract_lasso, _premises, _sccs, compile_nnf)
+from conftest import structure
+from oracles import (all_lassos, bfs_order, concrete_edges, holds_on_lasso,
+                     kosaraju_sccs, oracle_accepting_sccs, oracle_lasso,
+                     rand_entailment, replay_world, seeded)
 
 
 def w2():
@@ -152,6 +157,146 @@ def test_proved_entailments_survive_every_short_lasso():
     assert proved >= 30
 
 
+def automaton(world, premises, conclusion, bound=None):
+    phi = compile_nnf(world, f_and(list(premises) + [f_not(conclusion)]))
+    return _build(world, phi, Budget(5_000_000), bound=bound)
+
+
+def parsed_automaton(world, premises, conclusion):
+    return automaton(world, [parse_ltl(f) for f in premises],
+                     parse_ltl(conclusion))
+
+
+def check_automaton(world, auto):
+    """Compare the successor lists, the state order, the SCC search,
+    acceptance and the lasso with independent checks on the spelled-out
+    edges; return (edges, distinct (state, successor) pairs)."""
+    edges = concrete_edges(auto)
+    assert list(auto.succs) == bfs_order(edges, auto.init)
+    graph = {st: {succ for _, succ, _ in out} for st, out in edges.items()}
+    for st, succs in graph.items():
+        got = [g[0] for g in auto.succs[st]]
+        assert len(got) == len(succs) and set(got) == succs, st
+    comps = kosaraju_sccs(graph)
+    assert {frozenset(c) for c in _sccs(auto)} == set(comps)
+    accepting = _accepting_sccs(auto)
+    want = oracle_accepting_sccs(edges, comps, auto.all_bits)
+    assert {frozenset(c) for c in accepting} == set(want)
+    if accepting:
+        tr = _extract_lasso(world, auto, accepting)
+        assert (tr.prefix, tr.cycle) == oracle_lasso(
+            world, auto.init, edges, want, len(auto.conditions))
+    return (sum(len(out) for out in edges.values()),
+            sum(len(g) for g in auto.succs.values()))
+
+
+# (concrete edges, distinct (state, successor) pairs) of the automaton of
+# each conjunct of the corpus spec, by structure and conjunct index.
+CONJUNCT_EDGES = {
+    ("z1", 0): (849934, 250984), ("z1", 1): (264194, 80212),
+    ("z2", 0): (357523, 105824), ("z2", 1): (208461, 63453),
+    ("z3", 0): (243232, 70445), ("z3", 1): (134542, 40398),
+    ("z4", 0): (223310, 63245), ("z4", 1): (134542, 40398),
+}
+
+
+# Questions on the 12-state world whose automata have a state that meets
+# a successor first through a later cover than the one that opens its
+# group, so that the groups and the concrete edges list successors in
+# different orders. The first two hold; the others fail.
+REORDERED = [
+    (["(q | X X p) & (m0 & F (m1 U m2))", "!X (q & m2)"],
+     "F (X G m1 | (m0 & m0) U X m2)"),
+    (["F G (m0 & m0)", "G X F m2"],
+     "(F m0 | !X q) & (X m2 & m1 | F m0 & !m1)"),
+    (["X F m0 U ((q U m1) U (p | p) | F (m0 | m0))", "!X m0 U X p"],
+     "!(q U (m1 | p))"),
+    (["(q | m1) U G q & F (m1 | m2)",
+      "(m0 | X G m1) U X F m0 U (m1 | m1) U F m2"], "X m0"),
+    (["(X m1 U p U q) U X !p", "X F m0 U (F m1 & (m1 | m2))"],
+     "F (q U p)"),
+]
+
+
+# A failing question whose lasso starts with the first edge, in cover
+# order, into an accepting SCC, which is not the first such edge of the
+# successor groups taken in group order.
+FIRST_GOAL_EDGE = (["X !m1", "G X F F m1", "m0"], "p")
+
+
+# A question whose automaton has an SCC that the accept unions of its
+# successor groups would call accepting, though the edges of its states
+# never discharge every condition: the entailment holds.
+UNION_OVERSTATES = (["G X q", "X X m1 | X !!p"],
+                    "(F (q & m1) & G G m1) U X X G q")
+
+
+def test_automaton_matches_checks_on_spelled_out_edges():
+    rng = seeded(606)
+    w, atoms = replay_world()
+    for _ in range(300):
+        premises, conclusion = rand_entailment(rng, atoms)
+        for bound in (None, 2):
+            check_automaton(w, automaton(w, premises, conclusion, bound))
+    for premises, conclusion in REORDERED:
+        auto = parsed_automaton(w, premises, conclusion)
+        check_automaton(w, auto)
+        assert any([g[0] for g in auto.succs[st]] !=
+                   list(dict.fromkeys(succ for _, succ, _ in out))
+                   for st, out in concrete_edges(auto).items())
+    check_automaton(w, parsed_automaton(w, *FIRST_GOAL_EDGE))
+    auto = parsed_automaton(w, *UNION_OVERSTATES)
+    check_automaton(w, auto)
+    unions = []
+    for comp in _sccs(auto):
+        union = 0
+        for st in comp:
+            for succ, _, acc, _ in auto.succs[st]:
+                if succ in comp:
+                    union |= acc
+        unions.append(union)
+    assert auto.all_bits in unions and not _accepting_sccs(auto)
+
+
+def test_corpus_automata_match_checks_on_spelled_out_edges(world, specs,
+                                                           spec_formula):
+    assert spec_formula[0] == "and"
+    for (name, i), counts in CONJUNCT_EDGES.items():
+        premises = _premises(structure(name), world, specs)
+        auto = automaton(world, premises, spec_formula[1][i])
+        assert check_automaton(world, auto) == counts, (name, i)
+
+
+# verify() of z1 and z2 against the corpus spec with a bound: verdict,
+# stats and counterexample (prefix, cycle). Unexpanded states take their
+# own path through the build, the SCC search and the lasso search.
+BOUNDED_RUNS = {
+    ("z1", 1): (True, 130, 1819, None),
+    ("z1", 2): (True, 778, 173779, None),
+    ("z1", 3): (False, 2210, 449379,
+                ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
+                 [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
+    ("z1", 5): (False, 3314, 612855,
+                ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
+                 [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
+    ("z2", 1): (True, 114, 1791, None),
+    ("z2", 2): (True, 658, 179581, None),
+    ("z2", 3): (True, 1538, 357777, None),
+    ("z2", 5): (True, 2306, 442901, None),
+}
+
+
+def test_bounded_verify_is_pinned(world, specs, spec_formula):
+    for (name, bound), (holds, states, used, lasso) in BOUNDED_RUNS.items():
+        v = verify(structure(name), world, specs, spec_formula, bound=bound)
+        tr = v.counterexample
+        assert v.holds == holds, (name, bound)
+        assert v.stats == {"automaton_states": states, "budget_used": used,
+                           "bounded": True, "exhausted": False,
+                           "conjuncts": 2}, (name, bound)
+        assert (tr and (tr.prefix, tr.cycle)) == lasso, (name, bound)
+
+
 def test_entails_bound_reports_non_exhaustive():
     w = w2()
     v = entails(w, [parse_ltl("p")], parse_ltl("q"), bound=0)
@@ -249,6 +394,23 @@ def test_module_replacement_rejects_new_visible_return():
     assert rep.returns["f"]["new"] != 0
 
 
+def test_module_replacement_selects_once_per_structure(monkeypatch):
+    calls = []
+    real = logic.selection_conditions
+
+    def counting(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(logic, "selection_conditions", counting)
+    monkeypatch.setattr(verifier, "selection_conditions", counting)
+    z, specs = module_fixture()
+    stand_in = DecisionStructure([("e", "A")], [])
+    rep = check_module_replacement(z, {"b"}, stand_in, w2(), specs)
+    assert sorted(rep.returns) == ["f", "s"]
+    assert len(calls) == 2
+
+
 def test_module_replacement_requires_a_module():
     z, specs = module_fixture()
     with pytest.raises(NotAModule):
@@ -282,7 +444,6 @@ def test_verify_small_world_end_to_end():
 
 
 def test_export_obligation_text(world, specs, spec_formula):
-    from conftest import structure
     text = export_obligation(structure("z1"), world, specs, spec_formula)
     lines = text.strip().split("\n")
     assert lines[0] == "obligation v1"
