@@ -416,6 +416,9 @@ def main(argv=None):
             ResourceLimit, OSError) as exc:
         print(_bad("error: %s" % exc), file=sys.stderr)
         return 1
+    except RecursionError:
+        print(_bad("error: input nested too deeply"), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,11 +9,15 @@ Edges carry a state mask plus bits for the until-formulas whose discharge
 was postponed. A counterexample is then a lasso through an SCC that
 postpones no until forever.
 
+The build numbers each state with a small int when it first meets it,
+and the SCC, acceptance and lasso searches work on those ids alone.
 Many edges of a state share a successor, so the automaton keeps each
 state's distinct successors, with the union of their edges' masks and
-accept bits. The SCC search needs only those, and acceptance reads a
-group's own edges only when its union could add bits. Concrete edges are
-cut from the covers on demand, where the lasso search needs them.
+accept bits, and the positions of their covers in cover order. The SCC
+search needs only those, and acceptance reads a group's own edges only
+when its union could add bits. Concrete edges are cut from the covers
+on demand, where the lasso search needs them, and ordered by position.
+Each distinct obligation set is normalized once per tableau.
 """
 
 from .logic import (FALSE, TRUE, LogicError, MissingSpec, _build_psi,
@@ -179,8 +183,8 @@ class _Tableau:
     allows now, the obligations and the mask it leaves for the next step,
     and the untils whose discharge it postpones, as bits over
     `conditions`. A next mask equal to the full mask stands for no mask
-    obligation. Covers are memoized per formula and per obligation set,
-    whose covers are the pruned product of its members' in repr order."""
+    obligation. Covers are memoized per formula; an obligation set's
+    covers are the pruned product of its members' in repr order."""
 
     def __init__(self, world, budget, conditions):
         self.full = world.full_mask
@@ -190,8 +194,11 @@ class _Tableau:
         self.formulas = []   # bit index -> formula
         self.keys = []       # bit index -> repr, the order of set_covers
         self.memo = []       # bit index -> covers, once computed
-        self.set_memo = {}
         self.targets = []    # (until bit, target bit), non-mask targets
+        # bits -> norm(bits). intern() adds an until's pair to `targets`
+        # when it creates the until's bit, so no bits value met before
+        # then holds that bit, and no entry ever goes stale.
+        self.normed = {}
 
     def intern(self, f):
         i = self.index.get(f)
@@ -214,23 +221,33 @@ class _Tableau:
         return bits & ~drop
 
     def merge(self, covers):
+        normed = self.normed
         out = {}
         for mask, bits, nmask, pending in covers:
             if nmask:
-                key = (self.norm(bits), nmask, pending)
+                nb = normed.get(bits)
+                if nb is None:
+                    nb = normed[bits] = self.norm(bits)
+                key = (nb, nmask, pending)
                 out[key] = out.get(key, 0) | mask
         return [(m, b, n, p) for (b, n, p), m in out.items()]
 
     def product(self, left, right):
         self.budget.spend(len(left) * len(right) if left and right else 1)
+        normed, norm = self.normed, self.norm
         out = {}
+        get = out.get
         for m1, b1, n1, p1 in left:
             for m2, b2, n2, p2 in right:
                 m = m1 & m2
                 nmask = n1 & n2
                 if m and nmask:
-                    key = (self.norm(b1 | b2), nmask, p1 | p2)
-                    out[key] = out.get(key, 0) | m
+                    bits = b1 | b2
+                    nb = normed.get(bits)
+                    if nb is None:
+                        nb = normed[bits] = norm(bits)
+                    key = (nb, nmask, p1 | p2)
+                    out[key] = get(key, 0) | m
         return [(m, b, n, p) for (b, n, p), m in out.items()]
 
     def formula_covers(self, f):
@@ -282,54 +299,54 @@ class _Tableau:
         return covers
 
     def set_covers(self, bits):
-        """Covers of a conjunction of non-mask obligations, memoized."""
-        got = self.set_memo.get(bits)
-        if got is not None:
-            return got
+        """Covers of a conjunction of non-mask obligations."""
         members = [i for i in range(bits.bit_length()) if bits >> i & 1]
         covers = [(self.full, 0, self.full, 0)]
         for i in sorted(members, key=self.keys.__getitem__):
             covers = self.product(covers, self.bit_covers(i))
             if not covers:
                 break
-        self.set_memo[bits] = covers
         return covers
 
 
 class _Automaton:
-    def __init__(self, init, succs, steps, conditions, truncated):
-        self.init = init
-        # obligation bits -> covers (mask, succ, accept-bitmask) in cover
-        # order. A state is (obligation bits, mask) as in _Tableau and,
-        # once expanded, its edges are the covers of its bits cut to its
-        # mask, in the same order. Bit i of the accept bitmask is set
-        # when the cover discharges conditions[i], i.e. the until was not
-        # postponed across this step.
+    def __init__(self, states, succs, steps, conditions, truncated):
+        # State ids are small ints, given in the order _build first meets
+        # each state; states[id] is (obligation bits, mask) as in _Tableau.
+        # The init state is id 0.
+        self.init = 0
+        self.states = states
+        # obligation bits -> covers (mask, succ id, accept-bitmask) in
+        # cover order. Once expanded, a state's edges are the covers of
+        # its bits cut to its mask, in the same order. Bit i of the accept
+        # bitmask is set when the cover discharges conditions[i], i.e. the
+        # until was not postponed across this step.
         self.steps = steps
-        # state -> its distinct successors: the groups of steps[bits],
-        # (succ, mask union, accept union, covers), whose mask union
-        # meets the state's mask. Concrete edges are cut from a group's
-        # covers only where acceptance or the lasso needs them.
+        # id of each reached state, in queue order -> its distinct
+        # successors: the groups of steps[bits], (succ id, mask union,
+        # accept union, positions of the group's covers in steps[bits]),
+        # whose mask union meets the state's mask. Concrete edges are cut
+        # from a group's covers only where acceptance or the lasso needs
+        # them, and a cover's position is its place in cover order.
         self.succs = succs
         self.conditions = conditions
         self.all_bits = (1 << len(conditions)) - 1
-        self.truncated = truncated  # states seen but not expanded (bound)
+        self.truncated = truncated  # ids seen but not expanded (bound)
 
 
 def _group(covers):
     """Covers grouped by successor in first-appearance order, as (succ,
-    mask union, accept union, the group's covers)."""
+    mask union, accept union, the positions of the group's covers)."""
     by_succ = {}
-    for cover in covers:
-        mask, succ, acc = cover
+    for pos, (mask, succ, acc) in enumerate(covers):
         g = by_succ.get(succ)
         if g is None:
-            by_succ[succ] = [mask, acc, [cover]]
+            by_succ[succ] = [mask, acc, [pos]]
         else:
             g[0] |= mask
             g[1] |= acc
-            g[2].append(cover)
-    return [(succ, m, a, c) for succ, (m, a, c) in by_succ.items()]
+            g[2].append(pos)
+    return [(succ, m, a, p) for succ, (m, a, p) in by_succ.items()]
 
 
 def _build(world, phi, budget, bound=None):
@@ -342,11 +359,13 @@ def _build(world, phi, budget, bound=None):
         # of a valid phi apart from the empty state it steps to.
         init = (0, -1 if phi[1] == world.full_mask else phi[1])
     all_bits = (1 << len(conditions)) - 1
+    states = [init]  # id -> (obligation bits, mask)
+    ids = {init: 0}
     steps = {}    # obligation bits -> covers before the state's mask filter
     grouped = {}  # obligation bits -> _group(steps[bits])
     succs = {}
-    depth = {init: 0}
-    queue = [init]
+    depth = {0: 0}
+    queue = [0]
     truncated = set()
     qi = 0
     while qi < len(queue):
@@ -357,65 +376,73 @@ def _build(world, phi, budget, bound=None):
             succs[state] = []
             continue
         budget.spend()
-        bits, now = state
-        groups = grouped.get(bits)
-        if groups is None:
-            steps[bits] = [(m, (b, n), all_bits ^ p)
-                           for m, b, n, p in tableau.set_covers(bits)]
-            groups = grouped[bits] = _group(steps[bits])
-        outs = succs[state] = [g for g in groups if g[1] & now]
+        bits, now = states[state]
+        covers = steps.get(bits)
+        if covers is None:
+            covers = steps[bits] = []
+            for m, b, n, p in tableau.set_covers(bits):
+                succ = ids.get((b, n))
+                if succ is None:
+                    succ = ids[b, n] = len(states)
+                    states.append((b, n))
+                covers.append((m, succ, all_bits ^ p))
+            grouped[bits] = _group(covers)
+        outs = succs[state] = [g for g in grouped[bits] if g[1] & now]
         # Queue new states in the order of their first edges, as a walk
         # over the edges does: the queue order fixes the order in which
         # obligations are interned, and so the bits that name each state.
-        fresh = [next(c for c in covers if c[0] & now)
-                 for succ, _, _, covers in outs if succ not in depth]
-        fresh.sort(key=steps[bits].index)
-        for c in fresh:
-            depth[c[1]] = depth[state] + 1
-            queue.append(c[1])
-    return _Automaton(init, succs, steps, conditions, truncated)
+        fresh = sorted(next(i for i in pos if covers[i][0] & now)
+                       for succ, _, _, pos in outs if succ not in depth)
+        d = depth[state] + 1
+        for i in fresh:
+            succ = covers[i][1]
+            depth[succ] = d
+            queue.append(succ)
+    return _Automaton(states, succs, steps, conditions, truncated)
 
 
 def _sccs(auto):
     """Iterative Tarjan over the successor lists; returns a list of state
-    sets."""
+    id sets."""
     succs = auto.succs
-    index, low, on = {}, {}, set()
+    n = len(auto.states)
+    index, low, on = [-1] * n, [0] * n, [False] * n
     stack, out = [], []
-    counter = [0]
+    counter = 0
     for root in succs:
-        if root in index:
+        if index[root] >= 0:
             continue
         work = [(root, iter(succs[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on.add(root)
+        on[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for succ, _, _, _ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
+                if index[succ] < 0:
+                    index[succ] = low[succ] = counter
+                    counter += 1
                     stack.append(succ)
-                    on.add(succ)
+                    on[succ] = True
                     work.append((succ, iter(succs[succ])))
                     advanced = True
                     break
-                if succ in on:
-                    low[node] = min(low[node], index[succ])
+                if on[succ] and index[succ] < low[node]:
+                    low[node] = index[succ]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
             if low[node] == index[node]:
                 comp = set()
                 while True:
                     s = stack.pop()
-                    on.discard(s)
+                    on[s] = False
                     comp.add(s)
                     if s == node:
                         break
@@ -428,16 +455,19 @@ def _accepting_sccs(auto):
     group's covers are read only when its accept union could add bits."""
     good = []
     all_bits = auto.all_bits
+    states, steps, succs = auto.states, auto.steps, auto.succs
     for comp in _sccs(auto):
         seen = 0
         internal = False
         for st in comp:
-            now = st[1]
-            for succ, _, acc, covers in auto.succs[st]:
+            for succ, _, acc, pos in succs[st]:
                 if succ in comp:
                     internal = True
                     if acc & ~seen:
-                        for mask, _, a in covers:
+                        bits, now = states[st]
+                        covers = steps[bits]
+                        for i in pos:
+                            mask, _, a = covers[i]
                             if mask & now:
                                 seen |= a
             if internal and seen == all_bits:
@@ -455,36 +485,42 @@ def _bfs_edges(auto, start, goal, allowed=None):
 
     The search walks successor groups, so goal(succ, accept union) must
     hold for every group that has a goal edge. Edges are cut from a
-    group's covers only for goal candidates and new states."""
+    group's covers only for goal candidates and new states, and are
+    ordered by cover position."""
+    states, steps, succs = auto.states, auto.steps, auto.succs
     parent = {start: None}
     queue = [start]
     qi = 0
     while qi < len(queue):
         st = queue[qi]
         qi += 1
-        now = st[1]
+        outs = succs[st]
+        if not outs:
+            continue
+        bits, now = states[st]
+        covers = steps[bits]
         hits, fresh = [], []
-        for succ, _, acc, covers in auto.succs[st]:
+        for succ, _, acc, pos in outs:
             if goal(succ, acc):
-                for c in covers:
-                    if c[0] & now and goal(succ, c[2]):
-                        hits.append(c)
+                for i in pos:
+                    if covers[i][0] & now and goal(succ, covers[i][2]):
+                        hits.append(i)
                         break
             if succ not in parent and (allowed is None or succ in allowed):
-                fresh.append(next(c for c in covers if c[0] & now))
+                fresh.append(next(i for i in pos if covers[i][0] & now))
         if hits:
-            c = min(hits, key=auto.steps[st[0]].index)
-            path = [(c[0] & now, c[1], c[2])]
+            mask, succ, acc = covers[min(hits)]
+            path = [(mask & now, succ, acc)]
             back = st
             while parent[back] is not None:
                 back, edge = parent[back]
                 path.append(edge)
             return path[::-1]
-        if fresh:
-            fresh.sort(key=auto.steps[st[0]].index)
-        for c in fresh:
-            parent[c[1]] = (st, (c[0] & now, c[1], c[2]))
-            queue.append(c[1])
+        fresh.sort()
+        for i in fresh:
+            mask, succ, acc = covers[i]
+            parent[succ] = (st, (mask & now, succ, acc))
+            queue.append(succ)
     return None
 
 

@@ -282,7 +282,7 @@ def concrete_edges(auto):
     unexpanded by a bound have none."""
     edges = {}
     for st in auto.succs:
-        bits, now = st
+        bits, now = auto.states[st]
         edges[st] = [] if st in auto.truncated else [
             (mask & now, succ, acc) for mask, succ, acc in auto.steps[bits]
             if mask & now]

@@ -264,3 +264,23 @@ def test_color_env(capsys, monkeypatch):
                        "--spec", corpus_path("spec.ltl"))
     assert code == 0
     assert "\x1b[32m" in out
+
+
+def test_construct_too_deep_term_is_a_clean_error(tmp_path, capsys):
+    text = "a1200"
+    for i in reversed(range(1200)):
+        text = "(%s a%d %s)" % ("seq" if i % 2 == 0 else "fb", i, text)
+    term = tmp_path / "deep.arch"
+    term.write_text(text + "\n")
+    code, out, err = run(capsys, "construct", str(term))
+    assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+
+def test_verify_too_deep_spec_is_a_clean_error(tmp_path, capsys):
+    spec = tmp_path / "deep.ltl"
+    spec.write_text("(" * 400 + "landed" + ")" * 400 + "\n")
+    code, out, err = run(capsys, "verify", corpus_path("z1.ds"),
+                         "--world", corpus_path("drone.wld"),
+                         "--actions", corpus_path("drone.act"),
+                         "--spec", str(spec))
+    assert (code, out, err) == (1, "", "error: input nested too deeply\n")

@@ -21,8 +21,9 @@ from decstruct import (
 )
 from decstruct import logic, verifier
 from decstruct.logic import f_and, f_not
-from decstruct.verifier import (Budget, _accepting_sccs, _build,
-                                _extract_lasso, _premises, _sccs, compile_nnf)
+from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
+                                _bfs_edges, _build, _extract_lasso, _group,
+                                _premises, _sccs, compile_nnf)
 from conftest import structure
 from oracles import (all_lassos, bfs_order, concrete_edges, holds_on_lasso,
                      kosaraju_sccs, oracle_accepting_sccs, oracle_lasso,
@@ -295,6 +296,49 @@ def test_bounded_verify_is_pinned(world, specs, spec_formula):
                            "bounded": True, "exhausted": False,
                            "conjuncts": 2}, (name, bound)
         assert (tr and (tr.prefix, tr.cycle)) == lasso, (name, bound)
+
+
+def test_bfs_edges_takes_new_states_in_cover_order():
+    # State 0 allows only world state 1. Its covers meet successor 1
+    # first (cover 0), but cover 0 misses state 0's mask, so its first
+    # edge goes to successor 2 (cover 1). Both successors step to 3, so
+    # the path to 3 depends on which of them the search queues first.
+    w = w2()
+    states = [(1, 0b10), (2, 0b11), (4, 0b11), (8, 0b11)]
+    steps = {1: [(0b01, 1, 0), (0b10, 2, 0), (0b10, 1, 0)],
+             2: [(0b11, 3, 0)], 4: [(0b11, 3, 0)], 8: [(0b11, 3, 1)]}
+    succs = {}
+    for st in (0, 2, 1, 3):
+        bits, now = states[st]
+        succs[st] = [g for g in _group(steps[bits]) if g[1] & now]
+    assert [g[0] for g in succs[0]] == [1, 2]
+    auto = _Automaton(states, succs, steps, ["c"], set())
+    assert _bfs_edges(auto, 0, lambda succ, acc: succ == 3) == \
+        [(0b10, 2, 0), (0b11, 3, 0)]
+    check_automaton(w, auto)
+
+
+def test_norm_memo_matches_the_final_targets(monkeypatch):
+    tableaux = []
+
+    class Recorded(verifier._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tableaux.append(self)
+
+    monkeypatch.setattr(verifier, "_Tableau", Recorded)
+    rng = seeded(606)
+    w, atoms = replay_world()
+    for _ in range(300):
+        premises, conclusion = rand_entailment(rng, atoms)
+        for bound in (None, 2):
+            automaton(w, premises, conclusion, bound)
+    assert len(tableaux) == 600
+    for tableau in tableaux:
+        for bits, normed in tableau.normed.items():
+            assert tableau.norm(bits) == normed
+    assert any(bits != normed for tableau in tableaux
+               for bits, normed in tableau.normed.items())
 
 
 def test_entails_bound_reports_non_exhaustive():
