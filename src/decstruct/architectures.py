@@ -171,18 +171,16 @@ def extract_kbt(z):
 
 
 def _kbt_term(d):
-    """The compressed operator tree of decomposition d, or None. There is
-    one exactly when every quotient on the way down is a uniformly
-    labeled path, which then names the operator at that level."""
-    if any(n.kind == "prime" for n in d.walk()):
-        return None
-    return compress(_path_term(d))
-
-
-def _path_term(d):
-    if d.is_leaf():
-        return Leaf(d.action)
-    return Op(d.label, [_path_term(c) for c in d.children])
+    """The operator tree of decomposition d, or None if a level is prime.
+    A path has 2+ children and none of its label, so it is compressed."""
+    if d.kind != "path":
+        return Leaf(d.action) if d.is_leaf() else None
+    children = []
+    for c in d.children:
+        children.append(_kbt_term(c))
+        if children[-1] is None:
+            return None
+    return Op(d.label, children)
 
 
 # -- term syntax -----------------------------------------------------------

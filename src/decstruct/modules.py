@@ -6,6 +6,13 @@ lands on Z[X]'s source, and (c) for every return value r with at least
 one arc leaving X, all such arcs share a single head and every member of
 X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
+
+Modules are read off one absorption sweep per node (see _sweeps): those
+with source v are prefixes of v's sweep. decompose sweeps once. Each
+tree node X is the prefix of its source's sweep of length |X|, cut into
+path blocks where a module prefix leaves only into the next node, or
+else prime: in topological order, each node not yet covered takes its
+largest module inside X (see _path_blocks and _prime_blocks).
 """
 
 import heapq
@@ -67,44 +74,39 @@ def is_module(z, members):
     return True
 
 
-def find_modules(z):
-    """All modules with at least two nodes, including the full node set.
+def _sweeps(z):
+    """Every node's absorption sweep: seed -> (order, sizes).
 
-    One absorption sweep per candidate source: grow M from a seed v by
-    repeatedly adding nodes whose every in-arc comes from M, tracking for
-    each label the distinct heads of arcs leaving M (nodes missing a
-    label count as leaving toward a per-label virtual sink). M is a
-    module exactly when each label sees at most one distinct head. Every
-    module whose induced source is v shows up during the sweep no matter
-    the absorption order, so a single deterministic order suffices.
+    Grow M from the seed by adding the topologically first node whose
+    every in-arc comes from M, tracking for each label the distinct heads
+    of arcs leaving M (a node missing a label leaves toward a per-label
+    virtual sink). M is a module exactly when no label sees two heads;
+    sizes lists those |M|, from 1, and order the nodes up to the last.
+    Every module with source v is such a prefix of v's sweep, as no node
+    outside it gets ready before all of it is in.
     """
     labels = z.labels()
     aux = {r: ("\x00sink", r) for r in labels}  # never collides with node ids
-    padded = {}
-    for v, _ in z.nodes:
-        padded[v] = {r: z.out[v].get(r, aux[r]) for r in labels}
+    padded = {v: {r: z.out[v].get(r, aux[r]) for r in labels}
+              for v in z.action_of}
     indeg = {v: len(z.preds[v]) for v, _ in z.nodes}
     topo_pos = {v: i for i, v in enumerate(z.topological_order())}
 
-    found = []
+    sweeps = {}
     for seed, _ in z.nodes:
-        members = {seed}
+        order, members, sizes = [], set(), []
         # heads[r] maps each outside head of an r-arc from M to its arc
         # count; crowded counts the labels currently seeing 2+ heads.
         heads = {r: {} for r in labels}
         crowded = 0
-        for r in labels:
-            heads[r][padded[seed][r]] = 1
         cnt = {}
-        ready = []
-        for r, h in z.out[seed].items():
-            cnt[h] = cnt.get(h, 0) + 1
-            if cnt[h] == indeg[h]:
-                heapq.heappush(ready, (topo_pos[h], h))
+        ready = [(topo_pos[seed], seed)]
         while ready:
             _, u = heapq.heappop(ready)
+            order.append(u)
             members.add(u)
-            for t, r in z.preds[u]:
+            # the seed's in-arcs come from outside M, all others' from M
+            for _, r in z.preds[u] if u != seed else ():
                 bucket = heads[r]
                 bucket[u] -= 1
                 if not bucket[u]:
@@ -125,14 +127,22 @@ def find_modules(z):
                 if cnt[h] == indeg[h]:
                     heapq.heappush(ready, (topo_pos[h], h))
             if not crowded:
-                found.append(frozenset(members))
-    return sorted(set(found), key=lambda m: (len(m), sorted(m)))
+                sizes.append(len(order))
+        del order[sizes[-1]:]
+        sweeps[seed] = (order, sizes)
+    return sweeps
+
+
+def find_modules(z):
+    """All modules with at least two nodes, including the full node set."""
+    found = [frozenset(order[:k])
+             for order, sizes in _sweeps(z).values() for k in sizes[1:]]
+    return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
 def nontrivial_modules(z):
-    """find_modules without the full node set."""
-    everything = frozenset(z.action_of)
-    return [m for m in find_modules(z) if m != everything]
+    """find_modules without the full node set, which always comes last."""
+    return find_modules(z)[:-1]
 
 
 def block_id(block):
@@ -163,11 +173,12 @@ def quotient(z, blocks):
     for b in blocks:
         if not is_module(z, b):
             raise ElementNotAModule(b)
+    return _quotient(z, blocks)
 
-    home = {}
-    for b in blocks:
-        for m in b:
-            home[m] = b
+
+def _quotient(z, blocks):
+    """quotient for a partition of z into modules (frozensets), unchecked."""
+    home = {m: b for b in blocks for m in b}
     topo_pos = {v: i for i, v in enumerate(z.topological_order())}
     ordered = sorted(blocks, key=lambda b: min(topo_pos[m] for m in b))
     qnodes = []
@@ -294,85 +305,74 @@ def _uniform_path(q):
     return labels.pop()
 
 
-def _single_exit_class(z, members):
-    """The (label, head) pair shared by all arcs leaving `members`, if any."""
-    classes = {(r, h) for t, h, r in z.arcs
-               if t in members and h not in members}
-    if len(classes) == 1:
-        return classes.pop()
-    return None
-
-
-def _chain_blocks(z, mods):
-    """Overlapping maximal modules: cut along the longest uniform path.
-
-    The cut points are the source-containing proper modules whose exits
-    all agree on one (label, head) class; they are totally ordered by
-    inclusion and the consecutive differences are the path's blocks.
-    """
-    everything = frozenset(z.action_of)
-    prefixes = []
-    for p in [frozenset([z.source])] + mods:
-        if z.source in p and p != everything and _single_exit_class(z, p):
-            prefixes.append(p)
-    prefixes = sorted(set(prefixes), key=len)
-    if not prefixes:
-        raise StructureError("overlapping modules but no path prefix found")
-    for a, b in zip(prefixes, prefixes[1:]):
-        if not a < b:
-            raise StructureError("path prefixes are not a chain")
-    blocks = [prefixes[0]]
-    for a, b in zip(prefixes, prefixes[1:]):
-        blocks.append(b - a)
-    blocks.append(everything - prefixes[-1])
-    for b in blocks:
-        if not is_module(z, b):
-            raise StructureError("path block is not a module")
-    return blocks
-
-
 def decompose(z):
-    """Recursive modular decomposition of a decision structure.
-
-    Modules are searched for once: for a module M of z, the modules of
-    z.induced(M) are exactly the modules of z inside M.
-    """
+    """Recursive modular decomposition of a decision structure."""
     if len(z.nodes) == 1:
         return _leaf(z, z.source)
-    return _decompose(z, nontrivial_modules(z))
+    return _decompose(z, _sweeps(z))
 
 
 def _leaf(z, v):
     return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
 
 
-def _decompose(z, mods):
-    """decompose for 2+ nodes, given z's modules but its full node set."""
-    everything = frozenset(z.action_of)
-    # mods ascend by size, so a superset of m is found soonest from the end
-    maximal = [m for m in mods if not any(m < o for o in reversed(mods))]
-    overlap = any(a & b for i, a in enumerate(maximal) for b in maximal[i + 1:])
-    if overlap:
-        blocks = _chain_blocks(z, mods)
-    else:
-        covered = set().union(*maximal)
-        blocks = maximal + [frozenset([v]) for v in everything - covered]
-    q = quotient(z, blocks)
+def _decompose(z, sweeps):
+    """decompose for 2+ nodes, z's node set being a module of the swept
+    structure. One frame per tree level, to keep deep paths in reach."""
+    order, sizes = sweeps[z.source]
+    members = order[:len(z.nodes)]
+    chain = _path_blocks(z, members, sizes)
+    blocks = chain or _prime_blocks(z, sweeps)
+    q = _quotient(z, blocks)
     label = _uniform_path(q)
-    if overlap and label is None:
+    if chain and label is None:
         raise StructureError("chain quotient is not a uniform path")
     by_id = {block_id(b): b for b in blocks}
     children = []
     for qid in q.topological_order():
         b = by_id[qid]
-        if len(b) == 1:
-            children.append(_leaf(z, qid))
-        else:
-            inner = [m for m in mods if m < b]
-            children.append(_decompose(z.induced(b), inner))
+        children.append(_leaf(z, qid) if len(b) == 1
+                        else _decompose(z.induced(b), sweeps))
     kind = "path" if label is not None else "prime"
-    return DecompositionNode(kind, everything, label=label,
+    return DecompositionNode(kind, members, label=label,
                              children=children, quotient=q)
+
+
+def _path_blocks(z, members, sizes):
+    """z's blocks as a path, or None. members, a topological order of z,
+    splits at k when members[:k] is a module and no arc jumps from before
+    k to past it: members[:k] then leaves only into members[k], so the
+    slices between split points are modules."""
+    pos = {v: i for i, v in enumerate(members)}
+    cuts, reach, sizes = [0], 0, set(sizes)
+    for k, v in enumerate(members[:-1], 1):
+        for h in z.out[v].values():
+            reach = max(reach, pos[h])
+        if reach <= k and k in sizes:
+            cuts.append(k)
+    if len(cuts) == 1:
+        return None
+    cuts.append(len(members))
+    return [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _prime_blocks(z, sweeps):
+    """z's maximal proper modules, disjoint when z is no path, and a
+    singleton for each node in none: in topological order, each node not
+    yet covered takes the largest module of its sweep that is short of
+    all of z and ends before the sweep first leaves z."""
+    n = len(z.nodes)
+    covered, blocks = set(), []
+    for v in z.topological_order():
+        if v in covered:
+            continue
+        order, sizes = sweeps[v]
+        limit = next((i for i, u in enumerate(order[:n - 1])
+                      if u not in z.action_of), n - 1)
+        k = max(size for size in sizes if size <= limit)
+        blocks.append(frozenset(order[:k]))
+        covered |= blocks[-1]
+    return blocks
 
 
 def enumerate_modular_partitions(z, limit=8):

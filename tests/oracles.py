@@ -72,11 +72,11 @@ def oracle_modules(z):
 
 def oracle_decompose(z):
     """Modular decomposition that searches every induced child for its own
-    modules and keeps the maximal ones by a full scan, so it does not rest
-    on the restriction lemma that decompose uses."""
-    from decstruct.modules import (DecompositionNode, _chain_blocks,
-                                   _uniform_path, block_id, find_modules,
-                                   quotient)
+    modules, keeps the maximal ones by a full scan and cuts paths by its
+    own rule, so it does not rest on the restriction lemma or on the
+    sweep reading that decompose uses."""
+    from decstruct.modules import (DecompositionNode, _uniform_path,
+                                   block_id, find_modules, quotient)
     if len(z.nodes) == 1:
         v = z.source
         return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
@@ -86,7 +86,15 @@ def oracle_decompose(z):
     overlap = any(a & b for i, a in enumerate(maximal)
                   for b in maximal[i + 1:])
     if overlap:
-        blocks = _chain_blocks(z, mods)
+        # overlapping maximal modules: the cut points of the path are the
+        # proper modules holding the source whose arcs out all share one
+        # (label, head) pair; by size, each holds the one before
+        def exits(p):
+            return {(r, h) for t, h, r in z.arcs if t in p and h not in p}
+        cuts = sorted((p for p in [frozenset([z.source])] + mods
+                       if z.source in p and len(exits(p)) == 1), key=len)
+        blocks = [b - a for a, b in zip([frozenset()] + cuts,
+                                        cuts + [everything])]
     else:
         covered = set().union(*maximal)
         blocks = maximal + [frozenset([v]) for v in everything - covered]

@@ -173,12 +173,13 @@ def test_modules_and_decomposition_are_computed_once(monkeypatch, z):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(modules, "find_modules",
-                        counted("find_modules", modules.find_modules))
+    for name in ("_sweeps", "find_modules", "is_module"):
+        monkeypatch.setattr(modules, name,
+                            counted(name, getattr(modules, name)))
     monkeypatch.setattr(analysis, "decompose",
                         counted("decompose", analysis.decompose))
     modules.decompose(z)
-    assert calls == ["find_modules"]
+    assert calls == ["_sweeps"]
     calls.clear()
     classify(z)
-    assert calls == ["decompose", "find_modules"]
+    assert calls == ["decompose", "_sweeps"]

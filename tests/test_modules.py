@@ -1,9 +1,14 @@
 """Module detection, quotients, contraction/expansion, decomposition."""
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import decstruct
 from decstruct import (
     DecisionStructure,
     ElementNotAModule,
@@ -278,8 +283,45 @@ def corpus_structures():
     return [load_structure(p) for p in sorted(glob.glob(CORPUS + "/*.ds"))]
 
 
+def large_kbt_structures():
+    rng = seeded(2030)
+    return [construct_kbt(rand_term(rng, labels=("s", "f", "m"),
+                                    max_leaves=30))
+            for _ in range(40)]
+
+
+def nested_structures():
+    """Random structures with random structures and operator terms
+    expanded into their nodes, which gives prime levels whose children
+    are themselves decomposed."""
+    rng = seeded(2040)
+    out = []
+    for _ in range(60):
+        z = rand_structure(rng, rng.randint(2, 8))
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                q = rand_structure(rng, rng.randint(2, 7))
+            else:
+                q = construct_kbt(rand_term(rng, max_leaves=8))
+            z = expand(z, rng.choice(z.node_ids()), q)
+        out.append(z)
+    return out
+
+
+def module_leaving_a_prime_level():
+    """{s, a, v} is a prime level of the tree, while the module {v, w}
+    starts inside it and leaves it, so v's block must stop before w."""
+    return DecisionStructure(
+        [("s", "s"), ("a", "a"), ("v", "v"), ("w", "w"), ("h", "h")],
+        [("s", "a", "s"), ("s", "v", "f"), ("a", "v", "s"), ("a", "h", "f"),
+         ("v", "h", "f"), ("v", "w", "s"), ("w", "h", "f")])
+
+
 def test_decompose_matches_a_fresh_module_search_per_level():
-    for z in random_structures() + kbt_structures() + corpus_structures():
+    inputs = (random_structures() + kbt_structures() + corpus_structures()
+              + large_kbt_structures() + nested_structures()
+              + [module_leaving_a_prime_level()])
+    for z in inputs:
         got, want = decompose(z), oracle_decompose(z)
         assert got.to_dict() == want.to_dict(), format(z)
         for g, w in zip(got.walk(), want.walk()):
@@ -295,3 +337,27 @@ def test_modules_of_a_module_are_the_modules_of_z_inside_it():
         mods = find_modules(z)
         for m in mods:
             assert find_modules(z.induced(m)) == [o for o in mods if o <= m]
+
+
+def test_decompose_keeps_one_frame_per_tree_level():
+    # an alternating s/f chain of 990 nodes decomposes into 989 nested
+    # paths; under the default recursion limit of 1000 that fits only with
+    # one frame per level, so it runs in a fresh process
+    code = textwrap.dedent("""
+        from decstruct import DecisionStructure, decompose
+        n = 990
+        z = DecisionStructure(
+            [("a%d" % i, "x%d" % i) for i in range(n)],
+            [("a%d" % i, "a%d" % (i + 1), "sf"[i % 2]) for i in range(n - 1)])
+        d, depth = decompose(z), 0
+        while not d.is_leaf():
+            assert d.kind == "path" and len(d.children) == 2
+            d, depth = d.children[1], depth + 1
+        print(depth)
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["989"]
