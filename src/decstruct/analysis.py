@@ -1,10 +1,14 @@
 """Complexity measures and architecture classification for decision structures."""
 
 import itertools
+import math
 
 from .architectures import DT_LABELS, Leaf, Pred, _kbt_term, format_arch
 from .modules import decompose
 from .structures import DecisionStructure, StructureError
+
+# relabelings enumerates no more structures than this; z2 has 8,192
+_MAX_LABELINGS = 1 << 16
 
 
 def cyclomatic(z):
@@ -136,8 +140,23 @@ def export_fsm(z):
 
 
 def relabelings(z, labels=("s", "f")):
-    """Every relabeling of the arcs keeping per-node labels distinct."""
+    """Every relabeling of the arcs keeping per-node labels distinct.
+
+    Raises StructureError before yielding any when a node has more
+    out-arcs than there are labels, or when the relabelings, counted from
+    each node's choices, number more than _MAX_LABELINGS.
+    """
     order = [v for v, _ in z.nodes if z.out[v]]
+    for v in order:
+        if len(z.out[v]) > len(labels):
+            raise StructureError(
+                "no labeling: node %r has %d out-arcs but there are only %d "
+                "labels {%s}" % (v, len(z.out[v]), len(labels),
+                                 ",".join(labels)))
+    count = math.prod(math.perm(len(labels), len(z.out[v])) for v in order)
+    if count > _MAX_LABELINGS:
+        raise StructureError("%d labelings; limit for exhaustive enumeration "
+                             "is %d" % (count, _MAX_LABELINGS))
     arcs_of = {v: sorted((h for h in z.out[v].values())) for v in order}
     pools = [list(itertools.permutations(labels, len(arcs_of[v]))) for v in order]
     for combo in itertools.product(*pools):

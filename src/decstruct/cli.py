@@ -87,12 +87,16 @@ def export_dot(z, decomposition=None):
     return "\n".join(lines) + "\n"
 
 
-def _decomp_text(d, indent=""):
-    if d.is_leaf():
-        return ["%sleaf %s (%s)" % (indent, d.node, d.action)]
-    lines = ["%s%s {%s}" % (indent, d.tag, ",".join(sorted(d.members)))]
-    for c in d.children:
-        lines.extend(_decomp_text(c, indent + "  "))
+def _decomp_text(tree):
+    lines, stack = [], [(tree, "")]
+    while stack:
+        d, indent = stack.pop()
+        if d.is_leaf():
+            lines.append("%sleaf %s (%s)" % (indent, d.node, d.action))
+            continue
+        lines.append("%s%s {%s}"
+                     % (indent, d.tag, ",".join(sorted(d.members))))
+        stack.extend((c, indent + "  ") for c in reversed(d.children))
     return lines
 
 

@@ -8,16 +8,20 @@ X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
 
 Modules are read off one absorption sweep per node (see _sweeps): those
-with source v are prefixes of v's sweep. decompose sweeps once. Each
-tree node X is the prefix of its source's sweep of length |X|, cut into
-path blocks where a module prefix leaves only into the next node, or
-else prime: in topological order, each node not yet covered takes its
-largest module inside X (see _path_blocks and _prime_blocks).
+with source v are prefixes of v's sweep. decompose sweeps once and
+builds no sub-structure. Each tree level X is the prefix of its
+source's sweep of length |X|, with the out-arcs of z cut to X. It is cut
+into path blocks where a module prefix leaves only into the next node,
+or else prime: in topological order, each node not yet covered takes
+its largest module inside X (see _path_blocks and _prime_blocks). A
+work list takes the levels in turn, so neither the build nor the tree's
+readers recurse per level; the one structure built per level is its
+quotient.
 """
 
 import heapq
 
-from .structures import DecisionStructure, StructureError
+from .structures import DecisionStructure, StructureError, _toposort
 
 
 class NotAModule(StructureError):
@@ -173,22 +177,23 @@ def quotient(z, blocks):
     for b in blocks:
         if not is_module(z, b):
             raise ElementNotAModule(b)
-    return _quotient(z, blocks)
-
-
-def _quotient(z, blocks):
-    """quotient for a partition of z into modules (frozensets), unchecked."""
-    home = {m: b for b in blocks for m in b}
     topo_pos = {v: i for i, v in enumerate(z.topological_order())}
-    ordered = sorted(blocks, key=lambda b: min(topo_pos[m] for m in b))
+    blocks.sort(key=lambda b: min(topo_pos[m] for m in b))
+    return _quotient(z, blocks, z.arcs)
+
+
+def _quotient(z, blocks, arcs):
+    """quotient, unchecked: blocks are modules of z ordered by their
+    sources' topological order, and arcs, in order, the arcs among them."""
+    home = {m: b for b in blocks for m in b}
     qnodes = []
-    for b in ordered:
+    for b in blocks:
         bid = block_id(b)
         action = z.action_of[next(iter(b))] if len(b) == 1 else bid
         qnodes.append((bid, action))
     qarcs = []
     emitted = set()
-    for t, h, r in z.arcs:
+    for t, h, r in arcs:
         bt, bh = home[t], home[h]
         if bt is bh:
             continue
@@ -204,8 +209,13 @@ def contract(z, members):
     members = frozenset(str(m) for m in members)
     if not is_module(z, members):
         raise NotAModule(members)
-    blocks = [members] + [frozenset([v]) for v in z.action_of if v not in members]
-    return quotient(z, blocks)
+    # singletons are modules, and members' source comes first of members
+    # in topological order
+    topo = z.topological_order()
+    first = next(v for v in topo if v in members)
+    blocks = [members if v == first else frozenset([v])
+              for v in topo if v == first or v not in members]
+    return _quotient(z, blocks, z.arcs)
 
 
 def expand(z, v, q):
@@ -267,20 +277,30 @@ class DecompositionNode:
         return self.kind == "leaf"
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """The tree's nodes in preorder, without recursion."""
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            yield d
+            stack.extend(reversed(d.children))
 
     def to_dict(self):
-        d = {"kind": self.kind, "members": sorted(self.members)}
-        if self.kind == "leaf":
-            d["node"] = self.node
-            d["action"] = self.action
-        else:
-            if self.kind == "path":
-                d["label"] = self.label
-            d["children"] = [c.to_dict() for c in self.children]
-        return d
+        top = []
+        stack = [(self, top)]  # each node with the list its dict joins
+        while stack:
+            node, into = stack.pop()
+            d = {"kind": node.kind, "members": sorted(node.members)}
+            into.append(d)
+            if node.kind == "leaf":
+                d["node"] = node.node
+                d["action"] = node.action
+            else:
+                if node.kind == "path":
+                    d["label"] = node.label
+                d["children"] = []
+                stack.extend((c, d["children"])
+                             for c in reversed(node.children))
+        return top[0]
 
     @property
     def tag(self):
@@ -306,72 +326,79 @@ def _uniform_path(q):
 
 
 def decompose(z):
-    """Recursive modular decomposition of a decision structure."""
-    if len(z.nodes) == 1:
-        return _leaf(z, z.source)
-    return _decompose(z, _sweeps(z))
+    """Modular decomposition of a decision structure, built from z and its
+    sweeps alone (see the module docstring)."""
+    sweeps = _sweeps(z)
+    node_pos = {v: i for i, v in enumerate(z.action_of)}
+    arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
+    root = [None]
+    todo = [(z.source, len(z.nodes), root, 0)]  # level, and its slot
+    while todo:
+        source, n, slots, i = todo.pop()
+        if n == 1:
+            slots[i] = DecompositionNode("leaf", [source], node=source,
+                                         action=z.action_of[source])
+            continue
+        order, sizes = sweeps[source]
+        members = order[:n]
+        inside = set(members)
+        out = {v: {r: h for r, h in z.out[v].items() if h in inside}
+               for v in members}
+        chain = _path_blocks(members, out, sizes)
+        # a prime quotient's nodes follow the level's toposort as z's own
+        # would run it, from the level's first node in z.nodes
+        blocks = chain or _prime_blocks(
+            _toposort(sorted(members, key=node_pos.get), out), sweeps)
+        q = _quotient(z, blocks, [z.arcs[k] for k in sorted(
+            arc_pos[t, r] for t in members for r in out[t])])
+        label = _uniform_path(q)
+        if chain and label is None:
+            raise StructureError("chain quotient is not a uniform path")
+        kind = "path" if label is not None else "prime"
+        d = slots[i] = DecompositionNode(kind, members, label=label,
+                                         children=[None] * len(blocks),
+                                         quotient=q)
+        by_id = {block_id(b): b for b in blocks}
+        todo.extend((by_id[qid][0], len(by_id[qid]), d.children, j)
+                    for j, qid in enumerate(q.topological_order()))
+    return root[0]
 
 
-def _leaf(z, v):
-    return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])
-
-
-def _decompose(z, sweeps):
-    """decompose for 2+ nodes, z's node set being a module of the swept
-    structure. One frame per tree level, to keep deep paths in reach."""
-    order, sizes = sweeps[z.source]
-    members = order[:len(z.nodes)]
-    chain = _path_blocks(z, members, sizes)
-    blocks = chain or _prime_blocks(z, sweeps)
-    q = _quotient(z, blocks)
-    label = _uniform_path(q)
-    if chain and label is None:
-        raise StructureError("chain quotient is not a uniform path")
-    by_id = {block_id(b): b for b in blocks}
-    children = []
-    for qid in q.topological_order():
-        b = by_id[qid]
-        children.append(_leaf(z, qid) if len(b) == 1
-                        else _decompose(z.induced(b), sweeps))
-    kind = "path" if label is not None else "prime"
-    return DecompositionNode(kind, members, label=label,
-                             children=children, quotient=q)
-
-
-def _path_blocks(z, members, sizes):
-    """z's blocks as a path, or None. members, a topological order of z,
-    splits at k when members[:k] is a module and no arc jumps from before
-    k to past it: members[:k] then leaves only into members[k], so the
-    slices between split points are modules."""
+def _path_blocks(members, out, sizes):
+    """A level's blocks as a path, or None. members, a topological order
+    of the level, splits at k when members[:k] is a module and no arc
+    jumps from before k to past it: members[:k] then leaves only into
+    members[k], so the slices between split points are modules."""
     pos = {v: i for i, v in enumerate(members)}
     cuts, reach, sizes = [0], 0, set(sizes)
     for k, v in enumerate(members[:-1], 1):
-        for h in z.out[v].values():
+        for h in out[v].values():
             reach = max(reach, pos[h])
         if reach <= k and k in sizes:
             cuts.append(k)
     if len(cuts) == 1:
         return None
     cuts.append(len(members))
-    return [frozenset(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [members[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _prime_blocks(z, sweeps):
-    """z's maximal proper modules, disjoint when z is no path, and a
-    singleton for each node in none: in topological order, each node not
-    yet covered takes the largest module of its sweep that is short of
-    all of z and ends before the sweep first leaves z."""
-    n = len(z.nodes)
+def _prime_blocks(topo, sweeps):
+    """The maximal proper modules of the level topo (a topological order
+    of it), disjoint when it is no path, and a singleton for each node in
+    none, each a sweep prefix: in topo order, each node not yet covered
+    takes the largest module of its sweep that is short of the whole
+    level and ends before the sweep first leaves it."""
+    n, inside = len(topo), set(topo)
     covered, blocks = set(), []
-    for v in z.topological_order():
+    for v in topo:
         if v in covered:
             continue
         order, sizes = sweeps[v]
         limit = next((i for i, u in enumerate(order[:n - 1])
-                      if u not in z.action_of), n - 1)
+                      if u not in inside), n - 1)
         k = max(size for size in sizes if size <= limit)
-        blocks.append(frozenset(order[:k]))
-        covered |= blocks[-1]
+        blocks.append(order[:k])
+        covered.update(blocks[-1])
     return blocks
 
 

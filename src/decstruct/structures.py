@@ -52,6 +52,38 @@ class FormatError(ValueError):
     """Malformed structure file."""
 
 
+def _toposort(nodes, out):
+    """Depth-first topological order of out (node -> {label: head}), from
+    each unvisited node of nodes in turn; raises CycleFound on a cycle."""
+    order, state = [], {}  # state: 1 = on stack, 2 = done
+    for start in nodes:
+        if state.get(start):
+            continue
+        stack = [(start, iter(sorted(out[start].items())))]
+        state[start] = 1
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for _, head in it:
+                if state.get(head) == 1:
+                    cyc = path[path.index(head):] + [head]
+                    raise CycleFound(cyc)
+                if not state.get(head):
+                    state[head] = 1
+                    path.append(head)
+                    stack.append((head, iter(sorted(out[head].items()))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                order.append(node)
+                stack.pop()
+                path.pop()
+    order.reverse()
+    return order
+
+
 class DecisionStructure:
     """Immutable-ish labeled DAG. Construct via validate() or the parser."""
 
@@ -80,7 +112,7 @@ class DecisionStructure:
             self.out[t][r] = h
             self.preds[h].append((t, r))
         self.source = self._find_source()
-        self._topo = self._toposort()
+        self._topo = _toposort(self.action_of, self.out)
         self._check_reachability()
 
     # -- validation ------------------------------------------------------
@@ -92,35 +124,6 @@ class DecisionStructure:
         if len(roots) > 1:
             raise MultipleSources(roots)
         return roots[0]
-
-    def _toposort(self):
-        order, state = [], {}  # state: 1 = on stack, 2 = done
-        for start, _ in self.nodes:
-            if state.get(start):
-                continue
-            stack = [(start, iter(sorted(self.out[start].items())))]
-            state[start] = 1
-            path = [start]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for _, head in it:
-                    if state.get(head) == 1:
-                        cyc = path[path.index(head):] + [head]
-                        raise CycleFound(cyc)
-                    if not state.get(head):
-                        state[head] = 1
-                        path.append(head)
-                        stack.append((head, iter(sorted(self.out[head].items()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    order.append(node)
-                    stack.pop()
-                    path.pop()
-        order.reverse()
-        return order
 
     def _check_reachability(self):
         seen = {self.source}

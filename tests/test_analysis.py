@@ -176,6 +176,9 @@ def test_modules_and_decomposition_are_computed_once(monkeypatch, z):
     for name in ("_sweeps", "find_modules", "is_module"):
         monkeypatch.setattr(modules, name,
                             counted(name, getattr(modules, name)))
+    # levels are read off z itself: no sub-structure is built
+    monkeypatch.setattr(DecisionStructure, "induced",
+                        counted("induced", DecisionStructure.induced))
     monkeypatch.setattr(analysis, "decompose",
                         counted("decompose", analysis.decompose))
     modules.decompose(z)

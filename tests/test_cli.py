@@ -1,10 +1,16 @@
 """The decstruct command line tool, run in-process."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from decstruct import parse_structure, structurally_equivalent
+import decstruct
+from decstruct import (Leaf, Op, construct_kbt, format_structure,
+                       parse_structure, structurally_equivalent)
 from decstruct.cli import main
 from conftest import corpus_path, structure
 
@@ -137,6 +143,39 @@ def test_classify_all_labelings(capsys):
                        "--all-labelings")
     assert code == 0
     assert "labelings 16, expressible as bt: 0" in out
+
+
+def test_classify_all_labelings_is_bounded(tmp_path):
+    # 2**39 labelings: counted up front, never enumerated; the child
+    # process keeps an unbounded sweep from stalling the suite
+    term = Leaf("a39")
+    for i in range(38, -1, -1):
+        term = Op("sf"[i % 2], [Leaf("a%d" % i), term])
+    path = tmp_path / "deep.ds"
+    path.write_text(format_structure(construct_kbt(term)))
+    code = textwrap.dedent("""
+        import sys, time
+        from decstruct.cli import main
+        t0 = time.process_time()
+        code = main(["classify", sys.argv[1], "--all-labelings"])
+        print(code, time.process_time() - t0)
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=20)
+    exit_code, seconds = run.stdout.split()
+    assert exit_code == "1" and float(seconds) < 0.5
+    assert run.stderr == ("error: 549755813888 labelings; limit for "
+                          "exhaustive enumeration is 65536\n")
+
+
+def test_classify_all_labelings_says_why_there_is_none(capsys):
+    code, out, err = run(capsys, "classify", corpus_path("z3.ds"),
+                         "--all-labelings")
+    assert code == 1 and out == ""
+    assert "no labeling: node 'Battery' has 3 out-arcs but there are only " \
+        "2 labels {s,f}" in err
 
 
 def test_contract_expand_cycle(tmp_path, capsys):

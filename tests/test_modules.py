@@ -1,6 +1,7 @@
 """Module detection, quotients, contraction/expansion, decomposition."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from decstruct import (
     enumerate_modular_partitions,
     expand,
     find_modules,
+    format_structure,
     is_module,
     load_structure,
     nontrivial_modules,
@@ -143,6 +145,20 @@ def test_quotient_and_contract_z2():
     # singletons keep their identity and action
     for v in set(z.node_ids()) - h:
         assert small.action_of[v] == z.action_of[v]
+
+
+def test_contract_checks_the_module_once(monkeypatch):
+    import decstruct.modules as modules
+    checked = []
+
+    def counted(z, members):
+        checked.append(members)
+        return is_module(z, members)
+
+    monkeypatch.setattr(modules, "is_module", counted)
+    z = structure("z2")
+    contract(z, {"b0", "bLow", "calm", "bHigh", "bright", "Avoid", "Land"})
+    assert len(checked) == 1
 
 
 def test_quotient_validates_partitions():
@@ -337,6 +353,49 @@ def test_modules_of_a_module_are_the_modules_of_z_inside_it():
         mods = find_modules(z)
         for m in mods:
             assert find_modules(z.induced(m)) == [o for o in mods if o <= m]
+
+
+def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
+    # a 301-node alternating s/f chain nests 300 paths, far past the
+    # lowered recursion limit, for the library and the CLI alike
+    n = 301
+    z = DecisionStructure(
+        [("a%d" % i, "x%d" % i) for i in range(n)],
+        [("a%d" % i, "a%d" % (i + 1), "sf"[i % 2]) for i in range(n - 1)])
+    path = tmp_path / "deep.ds"
+    path.write_text(format_structure(z))
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from decstruct import decompose, load_structure
+        from decstruct.cli import main
+        z = load_structure(sys.argv[1])
+        sys.setrecursionlimit(120)
+        outputs = [decompose(z).to_dict()]
+        for argv in (["decompose"], ["complexity"],
+                     ["--format", "json", "complexity"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv + [sys.argv[1]]) == 0, argv
+            outputs.append(buf.getvalue())
+        sys.setrecursionlimit(1000)  # json itself nests one frame a level
+        print(json.dumps(outputs))
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    tree, text, report, report_json = json.loads(run.stdout)
+    depth = 0
+    while tree["kind"] != "leaf":
+        assert tree["kind"] == "path" and len(tree["children"]) == 2
+        tree, depth = tree["children"][1], depth + 1
+    assert depth == n - 1
+    lines = text.splitlines()
+    assert len(lines) == 2 * n - 1
+    assert lines[-1] == " " * 2 * (n - 1) + "leaf a%d (x%d)" % (n - 1, n - 1)
+    assert report == "cyclomatic 1\nessential  1\n"
+    assert json.loads(report_json)["essential"] == 1
 
 
 def test_decompose_keeps_one_frame_per_tree_level():
