@@ -3,7 +3,7 @@
 import itertools
 import math
 
-from .architectures import DT_LABELS, Leaf, Pred, _kbt_term, format_arch
+from .architectures import DT_LABELS, Leaf, Op, Pred, _kbt_term, format_arch
 from .modules import decompose
 from .structures import DecisionStructure, StructureError
 
@@ -95,13 +95,8 @@ def classify(z):
         "tr": None,
     }
     if result["is_tr"]:
-        order, v = [], z.source
-        while True:
-            order.append(z.action_of[v])
-            if not z.out[v]:
-                break
-            v = next(iter(z.out[v].values()))
-        result["tr"] = order
+        leaves = kbt.children if isinstance(kbt, Op) else [kbt]
+        result["tr"] = [leaf.action for leaf in leaves]
     return result
 
 

@@ -172,15 +172,15 @@ def extract_kbt(z):
 
 def _kbt_term(d):
     """The operator tree of decomposition d, or None if a level is prime.
-    A path has 2+ children and none of its label, so it is compressed."""
-    if d.kind != "path":
-        return Leaf(d.action) if d.is_leaf() else None
-    children = []
-    for c in d.children:
-        children.append(_kbt_term(c))
-        if children[-1] is None:
+    A path has 2+ children and none of its label, so it is compressed.
+    Levels are taken in reverse preorder, each after its children."""
+    terms = {}
+    for n in reversed(list(d.walk())):
+        if n.kind == "prime":
             return None
-    return Op(d.label, children)
+        terms[n] = Leaf(n.action) if n.is_leaf() else Op(
+            n.label, [terms.pop(c) for c in n.children])
+    return terms[d]
 
 
 # -- term syntax -----------------------------------------------------------
@@ -244,18 +244,29 @@ def parse_arch(text):
 
 
 def format_arch(term):
-    if isinstance(term, Leaf):
-        return term.action
-    if isinstance(term, Op):
-        inner = " ".join(format_arch(c) for c in term.children)
-        if term.label == "s":
-            return "(seq %s)" % inner
-        if term.label == "f":
-            return "(fb %s)" % inner
-        return "(op %s %s)" % (term.label, inner)
-    if isinstance(term, Pred):
-        return "(dt %s %s %s)" % (term.action, format_arch(term.when_true),
-                                  format_arch(term.when_false))
-    if isinstance(term, list):
-        return "(tr %s)" % " ".join(format_arch(c) for c in term)
-    raise ArchError("not an architecture term: %r" % (term,))
+    """The s-expression of a term, written without recursion: the stack
+    holds (text, None) for text to emit and (None, t) for a term."""
+    out, stack = [], [(None, term)]
+    while stack:
+        text, t = stack.pop()
+        if isinstance(t, Leaf):
+            text = t.action
+        if text is not None:
+            out.append(text)
+            continue
+        if isinstance(t, Op):
+            head = {"s": "seq", "f": "fb"}.get(t.label, "op %s" % t.label)
+            parts = t.children
+        elif isinstance(t, Pred):
+            head, parts = "dt " + t.action, [t.when_true, t.when_false]
+        elif isinstance(t, list):
+            head, parts = "tr", t
+        else:
+            raise ArchError("not an architecture term: %r" % (t,))
+        stack.append((")", None))
+        for i in reversed(range(len(parts))):
+            stack.append((None, parts[i]))
+            if i:
+                stack.append((" ", None))
+        stack.append(("(%s " % head, None))
+    return "".join(out)

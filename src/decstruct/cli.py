@@ -16,7 +16,7 @@ from .modules import (decompose, expand, contract, find_modules,
                       nontrivial_modules)
 from .structures import (StructureError, FormatError, format_structure,
                          load_structure)
-from .verifier import (ResourceLimit, check_action_replacement,
+from .verifier import (DEFAULT_LIMIT, ResourceLimit, check_action_replacement,
                        check_module_replacement, export_obligation, verify)
 
 
@@ -380,7 +380,7 @@ def build_parser():
     p.add_argument("--actions", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--limit", type=int, default=5_000_000)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     p = add("check-replace", cmd_check_replace,
             help="check an action or module replacement")
@@ -391,7 +391,7 @@ def build_parser():
     p.add_argument("--with-action", dest="with_action")
     p.add_argument("--module")
     p.add_argument("--with", dest="with_structure", metavar="STRUCTURE")
-    p.add_argument("--limit", type=int, default=5_000_000)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     p = add("export-dot", cmd_export_dot, help="graphviz view")
     p.add_argument("structure")

@@ -56,40 +56,32 @@ def f_not(f):
     return ("not", f)
 
 
-def f_and(parts):
+def _junction(op, unit, zero, parts):
+    """The flattened junction op of parts: unit parts drop out, and a
+    zero part makes the whole zero."""
     flat = []
     for p in parts:
-        if p == TRUE:
+        if p == unit:
             continue
-        if p == FALSE:
-            return FALSE
-        if p[0] == "and":
+        if p == zero:
+            return zero
+        if p[0] == op:
             flat.extend(p[1])
         else:
             flat.append(p)
     if not flat:
-        return TRUE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return ("and", tuple(flat))
+    return (op, tuple(flat))
+
+
+def f_and(parts):
+    return _junction("and", TRUE, FALSE, parts)
 
 
 def f_or(parts):
-    flat = []
-    for p in parts:
-        if p == FALSE:
-            continue
-        if p == TRUE:
-            return TRUE
-        if p[0] == "or":
-            flat.extend(p[1])
-        else:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return ("or", tuple(flat))
+    return _junction("or", FALSE, TRUE, parts)
 
 
 # -- parsing ---------------------------------------------------------------

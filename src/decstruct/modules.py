@@ -8,7 +8,8 @@ X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
 
 Modules are read off one absorption sweep per node (see _sweeps): those
-with source v are prefixes of v's sweep. decompose sweeps once and
+with source v are prefixes of v's sweep. is_module runs the one sweep
+from a set's first node, up to the set's size. decompose sweeps once and
 builds no sub-structure. Each tree level X is the prefix of its
 source's sweep of length |X|, with the out-arcs of z cut to X. It is cut
 into path blocks where a module prefix leaves only into the next node,
@@ -52,34 +53,23 @@ class SizeLimitExceeded(StructureError):
 
 
 def is_module(z, members):
-    """Check the module conditions directly (empty sets are not modules)."""
+    """Check the module conditions (empty sets are not modules): members
+    is one exactly when it is a module prefix of the sweep from its
+    topologically first node."""
     members = set(str(m) for m in members)
     if not members:
         return False
     for m in members:
         if m not in z.action_of:
             raise StructureError("unknown node %r" % m)
-    try:
-        sub = z.induced(members)
-    except StructureError:
-        return False
-    for t, h, r in z.arcs:
-        if t not in members and h in members and h != sub.source:
-            return False
-    ext_heads = {}  # label -> set of external heads
-    for t, h, r in z.arcs:
-        if t in members and h not in members:
-            ext_heads.setdefault(r, set()).add(h)
-    for r, heads in ext_heads.items():
-        if len(heads) > 1:
-            return False
-        if any(r not in z.out[m] for m in members):
-            return False
-    return True
+    first = next(v for v in z.topological_order() if v in members)
+    order, _ = _sweeps(z, [first], len(members))[first]
+    return set(order) == members  # order ends at its last module prefix
 
 
-def _sweeps(z):
-    """Every node's absorption sweep: seed -> (order, sizes).
+def _sweeps(z, seeds=None, stop=None):
+    """Absorption sweeps: seed -> (order, sizes), for every node unless
+    seeds are given, each stopped after `stop` nodes when given.
 
     Grow M from the seed by adding the topologically first node whose
     every in-arc comes from M, tracking for each label the distinct heads
@@ -91,13 +81,10 @@ def _sweeps(z):
     """
     labels = z.labels()
     aux = {r: ("\x00sink", r) for r in labels}  # never collides with node ids
-    padded = {v: {r: z.out[v].get(r, aux[r]) for r in labels}
-              for v in z.action_of}
-    indeg = {v: len(z.preds[v]) for v, _ in z.nodes}
     topo_pos = {v: i for i, v in enumerate(z.topological_order())}
 
     sweeps = {}
-    for seed, _ in z.nodes:
+    for seed in z.action_of if seeds is None else seeds:
         order, members, sizes = [], set(), []
         # heads[r] maps each outside head of an r-arc from M to its arc
         # count; crowded counts the labels currently seeing 2+ heads.
@@ -105,7 +92,7 @@ def _sweeps(z):
         crowded = 0
         cnt = {}
         ready = [(topo_pos[seed], seed)]
-        while ready:
+        while ready and len(order) != stop:
             _, u = heapq.heappop(ready)
             order.append(u)
             members.add(u)
@@ -117,18 +104,19 @@ def _sweeps(z):
                     del bucket[u]
                     if len(bucket) == 1:
                         crowded -= 1
+            out = z.out[u]
             for r in labels:
-                h = padded[u][r]
+                h = out.get(r, aux[r])
                 if h not in members:
                     bucket = heads[r]
                     bucket[h] = bucket.get(h, 0) + 1
                     if bucket[h] == 1 and len(bucket) == 2:
                         crowded += 1
-            for r, h in z.out[u].items():
+            for r, h in out.items():
                 if h in members:
                     continue
                 cnt[h] = cnt.get(h, 0) + 1
-                if cnt[h] == indeg[h]:
+                if cnt[h] == len(z.preds[h]):
                     heapq.heappush(ready, (topo_pos[h], h))
             if not crowded:
                 sizes.append(len(order))

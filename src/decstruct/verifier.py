@@ -20,10 +20,14 @@ on demand, where the lasso search needs them, and ordered by position.
 Each distinct obligation set is normalized once per tableau.
 """
 
-from .logic import (FALSE, TRUE, LogicError, MissingSpec, _build_psi,
+from .logic import (TRUE, LogicError, MissingSpec, _build_psi,
                     _return_condition, f_and, f_not, format_formula, ground,
                     build_psi, selection_conditions, validate_actions)
 from .modules import NotAModule, is_module
+from .structures import DecisionStructure
+
+# the exploration budget of entails and the checks built on it
+DEFAULT_LIMIT = 5_000_000
 
 
 class ResourceLimit(RuntimeError):
@@ -104,36 +108,30 @@ class Verdict:
 
 
 def _mk_junction(world, op, parts):
-    merged = world.full_mask if op == "and" else 0
+    """The junction op of parts with their masks merged into one, first."""
+    full = world.full_mask
+    unit, zero = (full, 0) if op == "and" else (0, full)
+    merged = unit
     rest = []
     for p in parts:
         if p[0] == "mask":
             merged = (merged & p[1]) if op == "and" else (merged | p[1])
         else:
             rest.append(p)
-    if op == "and":
-        if merged == 0:
-            return ("mask", 0)
-        if not rest:
-            return ("mask", merged)
-        if merged != world.full_mask:
-            rest = [("mask", merged)] + rest
-        return rest[0] if len(rest) == 1 else ("and", tuple(rest))
-    if merged == world.full_mask:
-        return ("mask", world.full_mask)
-    if not rest:
+    if merged == zero or not rest:
         return ("mask", merged)
-    if merged != 0:
+    if merged != unit:
         rest = [("mask", merged)] + rest
-    return rest[0] if len(rest) == 1 else ("or", tuple(rest))
+    return rest[0] if len(rest) == 1 else (op, tuple(rest))
 
 
 def compile_nnf(world, f, neg=False):
-    """Negation normal form with propositional parts collapsed to masks."""
-    if world.is_propositional(f):
+    """Negation normal form with propositional parts collapsed to masks:
+    leaves become masks, and each junction merges its parts' masks."""
+    op = f[0]
+    if op in ("true", "false", "atom", "mask"):
         m = world.mask(f)
         return ("mask", (world.full_mask ^ m) if neg else m)
-    op = f[0]
     if op == "not":
         return compile_nnf(world, f[1], not neg)
     if op in ("and", "or"):
@@ -560,7 +558,7 @@ def _extract_lasso(world, auto, sccs):
     return LassoTrace(prefix, cycle)
 
 
-def entails(world, premises, conclusion, bound=None, limit=5_000_000):
+def entails(world, premises, conclusion, bound=None, limit=DEFAULT_LIMIT):
     """Does every world run satisfying the premises satisfy the conclusion?
 
     Failure comes with a lasso counterexample. With `bound` set, only
@@ -594,7 +592,7 @@ def _premises(z, world, specs):
     return [world.init, ("always", rules), ("always", psi)]
 
 
-def verify(z, world, specs, phi, bound=None, limit=5_000_000):
+def verify(z, world, specs, phi, bound=None, limit=DEFAULT_LIMIT):
     """Check that every run of the structure in the world satisfies phi.
 
     A top-level conjunction is checked one conjunct at a time, in order,
@@ -631,31 +629,22 @@ class ReplacementReport:
         return self.ok
 
 
-def check_action_replacement(world, specs, old, new, limit=5_000_000):
-    """May `new` stand in for `old`? Same return conditions value by value,
-    and the new model must guarantee the old one under the world rules."""
+def check_action_replacement(world, specs, old, new, limit=DEFAULT_LIMIT):
+    """May `new` stand in for `old`? This is the module check of one node
+    for another, with every value either action returns visible: same
+    return conditions value by value, and the new model must guarantee
+    the old one under the world rules."""
     validate_actions(world, specs)
     for name in (old, new):
         if name not in specs:
             raise MissingSpec(name)
-    so, sn = specs[old], specs[new]
-    returns = {}
-    ok = True
-    for v in sorted(set(so.returns) | set(sn.returns)):
-        mo = world.mask(so.returns.get(v, FALSE))
-        mn = world.mask(sn.returns.get(v, FALSE))
-        equal = mo == mn
-        ok &= equal
-        returns[v] = {"old": mo, "new": mn, "equal": equal,
-                      "required_zero": False}
-    rules = f_and([f for _, f in world.rules])
-    behavior = entails(world, [("always", rules), sn.model], so.model,
-                       limit=limit)
-    ok &= behavior.holds
-    return ReplacementReport(ok, returns, behavior)
+    visible = set(specs[old].returns) | set(specs[new].returns)
+    return _check_replacement(DecisionStructure([(old, old)], []),
+                              DecisionStructure([(new, new)], []),
+                              visible, world, specs, limit)
 
 
-def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
+def check_module_replacement(z, members, q, world, specs, limit=DEFAULT_LIMIT):
     """May the structure q stand in for the module `members` of z?
 
     The module and its stand-in must return every value leaving the
@@ -668,15 +657,23 @@ def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
     members = frozenset(str(m) for m in members)
     if not is_module(z, members):
         raise NotAModule(members)
-    k = z.induced(members)
-    r_out = sorted({r for t, h, r in z.arcs
-                    if t in members and h not in members})
+    visible = {r for t, h, r in z.arcs if t in members and h not in members}
+    report = _check_replacement(z.induced(members), q, visible, world, specs,
+                                limit)
+    if not visible:
+        report.notes.append("module has no outgoing arcs; return conditions "
+                            "are invisible and were not compared")
+    return report
+
+
+def _check_replacement(k, q, visible, world, specs, limit):
+    """May q stand in for k, whose return values in `visible` are seen?
+    See check_module_replacement, which this is with k a module of z."""
     sel_k, sel_q = selection_conditions(k), selection_conditions(q)
-    notes = []
     returns = {}
     ok = True
-    if r_out:
-        candidates = set(r_out) | set(k.labels()) | set(q.labels())
+    if visible:
+        candidates = visible | set(k.labels()) | set(q.labels())
         for part in (k, q):
             for _, a in part.nodes:
                 if a in specs:
@@ -684,25 +681,16 @@ def check_module_replacement(z, members, q, world, specs, limit=5_000_000):
         for v in sorted(candidates):
             mo = world.mask(ground(_return_condition(k, sel_k, v), specs))
             mn = world.mask(ground(_return_condition(q, sel_q, v), specs))
-            if v in r_out:
-                equal = mo == mn
-                returns[v] = {"old": mo, "new": mn, "equal": equal,
-                              "required_zero": False}
-                ok &= equal
-            else:
-                good = mo == 0 and mn == 0
-                returns[v] = {"old": mo, "new": mn, "equal": mo == mn,
-                              "required_zero": True}
-                ok &= good
-    else:
-        notes.append("module has no outgoing arcs; return conditions are "
-                     "invisible and were not compared")
+            hidden = v not in visible
+            returns[v] = {"old": mo, "new": mn, "equal": mo == mn,
+                          "required_zero": hidden}
+            ok &= (mo == mn == 0) if hidden else (mo == mn)
     rules = f_and([f for _, f in world.rules])
     psi_k = ground(_build_psi(k, sel_k, specs), specs)
     psi_q = ground(_build_psi(q, sel_q, specs), specs)
     behavior = entails(world, [("always", rules), psi_q], psi_k, limit=limit)
     ok &= behavior.holds
-    return ReplacementReport(ok, returns, behavior, notes)
+    return ReplacementReport(ok, returns, behavior)
 
 
 def export_obligation(z, world, specs, phi):

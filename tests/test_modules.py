@@ -1,6 +1,7 @@
 """Module detection, quotients, contraction/expansion, decomposition."""
 
 import glob
+import itertools
 import json
 import os
 import subprocess
@@ -86,6 +87,38 @@ def test_is_module_requires_entries_through_one_node():
     # c and d are entered from outside {c, d} at two different nodes
     assert not is_module(z, {"c", "d"})
     assert oracle_is_module(z, {"c", "d"}) is False
+
+
+def test_is_module_matches_oracle_on_every_subset():
+    # node and arc lists shuffled, so z.nodes is not in topological order
+    rng = seeded(808)
+    for _ in range(400):
+        z = rand_structure(rng, rng.randint(1, 8))
+        nodes, arcs = list(z.nodes), list(z.arcs)
+        rng.shuffle(nodes)
+        rng.shuffle(arcs)
+        z = DecisionStructure(nodes, arcs)
+        ids = z.node_ids()
+        for k in range(1, len(ids) + 1):
+            for members in itertools.combinations(ids, k):
+                assert is_module(z, members) == \
+                    oracle_is_module(z, members), (z.nodes, z.arcs, members)
+
+
+def test_is_module_builds_no_structure(monkeypatch):
+    z = structure("z2")
+    sets = find_modules(z) + [{"b0", "calm"}]
+    built = []
+    real = DecisionStructure.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(DecisionStructure, "__init__", counting)
+    found = [is_module(z, m) for m in sets]
+    assert found == [True] * (len(sets) - 1) + [False]
+    assert built == []
 
 
 def test_every_chain_segment_is_a_module():
@@ -372,7 +405,8 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
         sys.setrecursionlimit(120)
         outputs = [decompose(z).to_dict()]
         for argv in (["decompose"], ["complexity"],
-                     ["--format", "json", "complexity"]):
+                     ["--format", "json", "complexity"], ["classify"],
+                     ["--format", "json", "classify"], ["extract"]):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(argv + [sys.argv[1]]) == 0, argv
@@ -385,7 +419,8 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert run.returncode == 0, run.stderr
-    tree, text, report, report_json = json.loads(run.stdout)
+    tree, text, report, report_json, kind, kind_json, term = \
+        json.loads(run.stdout)
     depth = 0
     while tree["kind"] != "leaf":
         assert tree["kind"] == "path" and len(tree["children"]) == 2
@@ -396,6 +431,12 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
     assert lines[-1] == " " * 2 * (n - 1) + "leaf a%d (x%d)" % (n - 1, n - 1)
     assert report == "cyclomatic 1\nessential  1\n"
     assert json.loads(report_json)["essential"] == 1
+    want = "x%d" % (n - 1)
+    for i in reversed(range(n - 1)):
+        want = "(%s x%d %s)" % (("seq", "fb")[i % 2], i, want)
+    assert term == want + "\n"
+    assert "kbt         yes\n    %s\n" % want in kind
+    assert json.loads(kind_json)["kbt"] == want
 
 
 def test_decompose_keeps_one_frame_per_tree_level():

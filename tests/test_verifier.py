@@ -364,6 +364,25 @@ def test_compile_nnf_masks_propositional_subformulas():
     assert x == ("next", compile_nnf(w, parse_ltl("!p")))
 
 
+def test_compile_nnf_masks_only_the_leaves(monkeypatch):
+    w = w2()
+    masked = []
+    real = type(w).mask
+
+    def counting(self, f):
+        masked.append(f)
+        return real(self, f)
+
+    def refuse(self, f):
+        raise AssertionError("is_propositional called on %r" % (f,))
+
+    monkeypatch.setattr(type(w), "mask", counting)
+    monkeypatch.setattr(type(w), "is_propositional", refuse)
+    f = compile_nnf(w, parse_ltl("G ((p & !(q | p)) -> X (p | q U !p))"))
+    assert f[0] == "release"
+    assert [g[0] for g in masked] == ["atom"] * 6
+
+
 def aspec():
     return parse_actions("""
         action Old { model: G (p -> X p); returns s: p; returns f: !p; }
@@ -400,6 +419,27 @@ def test_action_replacement_rejects_weaker_model():
 def test_action_replacement_unknown_action():
     with pytest.raises(MissingSpec):
         check_action_replacement(w2(), aspec(), "Old", "Nope")
+
+
+# sha256 over check_action_replacement of every ordered pair of corpus
+# actions, one repr per line: the verdict, each return value's masks,
+# the behavioral verdict, its stats and its counterexample.
+ACTION_PAIRS_DIGEST = \
+    "b7c84f9edbd75865b8b9399ad266d82dced1f029ee1773d7b6000663f2339282"
+
+
+def test_action_replacement_observables_are_pinned(world, specs):
+    rows = []
+    for old, new in itertools.product(sorted(specs), repeat=2):
+        rep = check_action_replacement(world, specs, old, new)
+        tr = rep.behavior.counterexample
+        rows.append(repr((old, new, rep.ok, sorted(rep.returns.items()),
+                          rep.behavior.holds,
+                          sorted(rep.behavior.stats.items()),
+                          tr and tr.prefix, tr and tr.cycle)))
+    assert len(rows) == 289
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == ACTION_PAIRS_DIGEST
 
 
 def module_fixture():
