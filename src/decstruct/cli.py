@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .analysis import (classify, classify_text, complexity_report, export_fsm,
                        relabelings)
@@ -38,9 +39,51 @@ def _bad(text):
     return _paint(text, "31")
 
 
+def _json_text(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed payloads,
+    without a frame per nesting level: todo is a stack of text chunks and
+    (value, depth) pairs. Strings go through the C string encoder, a list
+    of strings in one join, and other scalars and empty containers
+    through json.dumps itself. A non-str key raises TypeError."""
+    out, todo = [], [(obj, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, depth = item
+        if isinstance(value, str):
+            out.append(_encode_str(value))
+            continue
+        if not value or not isinstance(value, (dict, list, tuple)):
+            out.append(json.dumps(value))
+            continue
+        inner = "\n" + "  " * (depth + 1)
+        end = "\n" + "  " * depth
+        if isinstance(value, dict):
+            keys = sorted(value)
+            for k in keys:
+                if not isinstance(k, str):
+                    raise TypeError("JSON keys must be str, not %r" % (k,))
+            todo.append(end + "}")
+            for i in range(len(keys) - 1, -1, -1):
+                todo.append((value[keys[i]], depth + 1))
+                todo.append(("," if i else "{") + inner
+                            + _encode_str(keys[i]) + ": ")
+        elif all(isinstance(x, str) for x in value):
+            items = ("," + inner).join(map(_encode_str, value))
+            out.append("[" + inner + items + end + "]")
+        else:
+            todo.append(end + "]")
+            for i in range(len(value) - 1, -1, -1):
+                todo.append((value[i], depth + 1))
+                todo.append(("," if i else "[") + inner)
+    return "".join(out)
+
+
 def _emit(args, payload, text):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(text)
 
@@ -67,20 +110,20 @@ def export_dot(z, decomposition=None):
         for v, _ in z.nodes:
             lines.append(node_line(v))
     else:
-        counter = [0]
-
-        def emit(d, indent):
-            if d.is_leaf():
+        # clusters in preorder; None closes the cluster opened at its indent
+        clusters, stack = 0, [(decomposition, "  ")]
+        while stack:
+            d, indent = stack.pop()
+            if d is None:
+                lines.append('%s}' % indent)
+            elif d.is_leaf():
                 lines.append(node_line(d.node, indent))
-                return
-            counter[0] += 1
-            lines.append('%ssubgraph cluster_%d {' % (indent, counter[0]))
-            lines.append('%s  label="%s";' % (indent, d.tag))
-            for c in d.children:
-                emit(c, indent + "  ")
-            lines.append('%s}' % indent)
-
-        emit(decomposition, "  ")
+            else:
+                clusters += 1
+                lines.append('%ssubgraph cluster_%d {' % (indent, clusters))
+                lines.append('%s  label="%s";' % (indent, d.tag))
+                stack.append((None, indent))
+                stack.extend((c, indent + "  ") for c in reversed(d.children))
     for t, h, r in z.arcs:
         lines.append('  "%s" -> "%s" [label="%s"];' % (t, h, r))
     lines.append("}")

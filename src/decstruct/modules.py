@@ -8,16 +8,21 @@ X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
 
 Modules are read off one absorption sweep per node (see _sweeps): those
-with source v are prefixes of v's sweep. is_module runs the one sweep
-from a set's first node, up to the set's size. decompose sweeps once and
-builds no sub-structure. Each tree level X is the prefix of its
-source's sweep of length |X|, with the out-arcs of z cut to X. It is cut
-into path blocks where a module prefix leaves only into the next node,
-or else prime: in topological order, each node not yet covered takes
-its largest module inside X (see _path_blocks and _prime_blocks). A
-work list takes the levels in turn, so neither the build nor the tree's
-readers recurse per level; the one structure built per level is its
-quotient.
+with source v are prefixes of v's sweep. Sweeps run on demand: a sweep
+context runs a node's sweep when first asked, only up to the requested
+length, and keeps it for later requests that are no longer. is_module
+runs the one sweep from a set's first node, up to the set's size, and
+quotient checks every block against one context.
+
+decompose reads one context and builds no sub-structure. Each tree level
+X is the prefix of its source's sweep of length |X|, with the out-arcs
+of z cut to X. It is cut into path blocks where a module prefix leaves
+only into the next node, or else prime: in topological order, each node
+not yet covered takes its largest module inside X, read off its sweep up
+to |X| - 1 nodes (see _path_blocks and _prime_blocks). A node's requests
+only shrink down the tree, so no sweep runs twice. A work list takes the
+levels in turn, so neither the build nor the tree's readers recurse per
+level; the one structure built per level is its quotient.
 """
 
 import heapq
@@ -53,23 +58,19 @@ class SizeLimitExceeded(StructureError):
 
 
 def is_module(z, members):
-    """Check the module conditions (empty sets are not modules): members
-    is one exactly when it is a module prefix of the sweep from its
-    topologically first node."""
+    """Check the module conditions (empty sets are not modules)."""
     members = set(str(m) for m in members)
     if not members:
         return False
     for m in members:
         if m not in z.action_of:
             raise StructureError("unknown node %r" % m)
-    first = next(v for v in z.topological_order() if v in members)
-    order, _ = _sweeps(z, [first], len(members))[first]
-    return set(order) == members  # order ends at its last module prefix
+    return _sweeps(z).is_module(members)
 
 
-def _sweeps(z, seeds=None, stop=None):
-    """Absorption sweeps: seed -> (order, sizes), for every node unless
-    seeds are given, each stopped after `stop` nodes when given.
+class _sweeps:
+    """The absorption sweeps of z, each run when first asked for and only
+    as far as asked: sweeps(seed, stop) -> (order, sizes).
 
     Grow M from the seed by adding the topologically first node whose
     every in-arc comes from M, tracking for each label the distinct heads
@@ -78,13 +79,32 @@ def _sweeps(z, seeds=None, stop=None):
     sizes lists those |M|, from 1, and order the nodes up to the last.
     Every module with source v is such a prefix of v's sweep, as no node
     outside it gets ready before all of it is in.
-    """
-    labels = z.labels()
-    aux = {r: ("\x00sink", r) for r in labels}  # never collides with node ids
-    topo_pos = {v: i for i, v in enumerate(z.topological_order())}
 
-    sweeps = {}
-    for seed in z.action_of if seeds is None else seeds:
+    A sweep runs to `stop` nodes (to its end when stop is None) and is
+    kept: a later call with no larger stop gets it back, so callers read
+    only the prefix up to their stop (the sizes up to it, and order up to
+    the largest of those).
+    """
+
+    def __init__(self, z):
+        self.z = z
+        self.labels = z.labels()
+        # never collides with node ids
+        self.aux = {r: ("\x00sink", r) for r in self.labels}
+        self.topo_pos = {v: i for i, v in enumerate(z.topological_order())}
+        self.swept = {}  # seed -> (stop, order, sizes)
+
+    def __call__(self, seed, stop=None):
+        if stop is None:
+            stop = len(self.z.nodes)
+        reach, order, sizes = self.swept.get(seed, (0, None, None))
+        if reach < stop:
+            order, sizes = self.sweep(seed, stop)
+            self.swept[seed] = (stop, order, sizes)
+        return order, sizes
+
+    def sweep(self, seed, stop):
+        z, labels, aux, topo_pos = self.z, self.labels, self.aux, self.topo_pos
         order, members, sizes = [], set(), []
         # heads[r] maps each outside head of an r-arc from M to its arc
         # count; crowded counts the labels currently seeing 2+ heads.
@@ -121,14 +141,22 @@ def _sweeps(z, seeds=None, stop=None):
             if not crowded:
                 sizes.append(len(order))
         del order[sizes[-1]:]
-        sweeps[seed] = (order, sizes)
-    return sweeps
+        return order, sizes
+
+    def is_module(self, members):
+        """members, a non-empty set of z's nodes, is a module exactly when
+        it is a module prefix of the sweep from its topologically first
+        node."""
+        k = len(members)
+        order, sizes = self(min(members, key=self.topo_pos.__getitem__), k)
+        return k in sizes and set(order[:k]) == members
 
 
 def find_modules(z):
     """All modules with at least two nodes, including the full node set."""
+    sweeps = _sweeps(z)
     found = [frozenset(order[:k])
-             for order, sizes in _sweeps(z).values() for k in sizes[1:]]
+             for order, sizes in map(sweeps, z.action_of) for k in sizes[1:]]
     return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
@@ -162,11 +190,11 @@ def quotient(z, blocks):
             raise NotAPartition("nodes not covered: {%s}"
                                 % ", ".join(sorted(missing)))
         raise NotAPartition("unknown nodes: {%s}" % ", ".join(sorted(extra)))
+    sweeps = _sweeps(z)
     for b in blocks:
-        if not is_module(z, b):
+        if not sweeps.is_module(b):
             raise ElementNotAModule(b)
-    topo_pos = {v: i for i, v in enumerate(z.topological_order())}
-    blocks.sort(key=lambda b: min(topo_pos[m] for m in b))
+    blocks.sort(key=lambda b: min(map(sweeps.topo_pos.__getitem__, b)))
     return _quotient(z, blocks, z.arcs)
 
 
@@ -296,9 +324,22 @@ class DecompositionNode:
         return "path[%s]" % self.label if self.kind == "path" else self.kind
 
     def __repr__(self):
-        if self.kind == "leaf":
-            return "Leaf(%s)" % self.node
-        return "%s(%s)" % (self.tag, ", ".join(repr(c) for c in self.children))
+        # a stack of nodes still to print and the text that follows them
+        out, stack = [], [self]
+        while stack:
+            d = stack.pop()
+            if isinstance(d, str):
+                out.append(d)
+            elif d.kind == "leaf":
+                out.append("Leaf(%s)" % d.node)
+            else:
+                out.append(d.tag + "(")
+                stack.append(")")
+                for i in range(len(d.children) - 1, -1, -1):
+                    stack.append(d.children[i])
+                    if i:
+                        stack.append(", ")
+        return "".join(out)
 
 
 def _uniform_path(q):
@@ -327,7 +368,7 @@ def decompose(z):
             slots[i] = DecompositionNode("leaf", [source], node=source,
                                          action=z.action_of[source])
             continue
-        order, sizes = sweeps[source]
+        order, sizes = sweeps(source, n)
         members = order[:n]
         inside = set(members)
         out = {v: {r: h for r, h in z.out[v].items() if h in inside}
@@ -381,7 +422,7 @@ def _prime_blocks(topo, sweeps):
     for v in topo:
         if v in covered:
             continue
-        order, sizes = sweeps[v]
+        order, sizes = sweeps(v, n - 1)
         limit = next((i for i, u in enumerate(order[:n - 1])
                       if u not in inside), n - 1)
         k = max(size for size in sizes if size <= limit)

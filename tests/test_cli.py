@@ -1,5 +1,7 @@
 """The decstruct command line tool, run in-process."""
 
+import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -7,12 +9,14 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decstruct
 from decstruct import (Leaf, Op, construct_kbt, format_structure,
                        parse_structure, structurally_equivalent)
-from decstruct.cli import main
-from conftest import corpus_path, structure
+from decstruct.cli import _json_text, main
+from conftest import CORPUS, corpus_path, structure
 
 
 def run(capsys, *argv):
@@ -323,3 +327,65 @@ def test_verify_too_deep_spec_is_a_clean_error(tmp_path, capsys):
                          "--actions", corpus_path("drone.act"),
                          "--spec", str(spec))
     assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+
+JSON_CHARS = st.sampled_from('ab"\\/\n\t\x00\x7f\xe9\u2028\U0001f600')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=JSON_CHARS),
+    lambda sub: st.lists(sub, max_size=4)
+    | st.dictionaries(st.text(alphabet=JSON_CHARS, max_size=3), sub,
+                      max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_edge_cases():
+    for value in ([], {}, [[]], {"a": {}}, [{}, []], ["", "\u00e9\"\\"],
+                  {"x": [1, 2.5, None, True, "s"]}, float("nan"), -0.0,
+                  (1, ("a",)), {"k": ()}, 10 ** 30):
+        assert _json_text(value) == json.dumps(value, indent=2,
+                                               sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text({"a": {1: "x"}})
+    with pytest.raises(TypeError):
+        _json_text([object()])
+
+
+def corpus_json_commands():
+    """82 --format json commands over the corpus: the structure commands on
+    every .ds file, verify on z1-z4 and one module replacement."""
+    commands = []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.ds"))):
+        for argv in (["validate"], ["modules"], ["modules", "--trivial"],
+                     ["decompose"], ["complexity"], ["classify"],
+                     ["extract"]):
+            commands.append(argv + [path])
+    w = ["--world", corpus_path("drone.wld"),
+         "--actions", corpus_path("drone.act")]
+    for name in ("z1", "z2", "z3", "z4"):
+        commands.append(["verify", corpus_path(name + ".ds"), "--spec",
+                         corpus_path("spec.ltl")] + w)
+    commands.append(["check-replace", corpus_path("z2.ds"),
+                     "--module", "b0,bLow,calm,bHigh,bright,Avoid,Land",
+                     "--with", corpus_path("q.ds")] + w)
+    return commands
+
+
+def test_corpus_json_outputs_are_pinned(capsys, monkeypatch):
+    # the sha256 of every command's exit code, stdout and stderr, in
+    # order, computed before the CLI's own JSON writer replaced json.dumps
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    digest = hashlib.sha256()
+    commands = corpus_json_commands()
+    for argv in commands:
+        code, out, err = run(capsys, "--format", "json", *argv)
+        digest.update(("%d\0%s\0%s\0" % (code, out, err)).encode())
+    assert len(commands) == 82
+    assert digest.hexdigest() == \
+        "e1a1bfd874177012327c727060d92a5ed61cccdadefe0f3a34eb0d6ac7f7de6f"

@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 import decstruct
+import decstruct.modules as modules
 from decstruct import (
     DecisionStructure,
     ElementNotAModule,
@@ -20,6 +21,7 @@ from decstruct import (
     StructureError,
     block_id,
     construct_kbt,
+    construct_tr,
     contract,
     decompose,
     derived_return,
@@ -192,6 +194,28 @@ def test_contract_checks_the_module_once(monkeypatch):
     z = structure("z2")
     contract(z, {"b0", "bLow", "calm", "bHigh", "bright", "Avoid", "Land"})
     assert len(checked) == 1
+
+
+def test_quotient_checks_every_block_against_one_sweep_context(monkeypatch):
+    # the O(n) tables of a sweep context are built once per quotient, not
+    # once per block, so a partition into singletons costs O(n), not Θ(n²)
+    calls = []
+    real = DecisionStructure.topological_order
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DecisionStructure, "topological_order", counted)
+    counts = []
+    for n in (10, 300):
+        z = rand_structure(seeded(n), n)
+        calls.clear()
+        q = quotient(z, [[v] for v in reversed(z.node_ids())])
+        assert sorted(q.nodes) == sorted(z.nodes)
+        assert sorted(q.arcs) == sorted(z.arcs)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_quotient_validates_partitions():
@@ -379,6 +403,62 @@ def test_decompose_matches_a_fresh_module_search_per_level():
                 assert g.quotient.arcs == w.quotient.arcs
 
 
+def count_sweeps(monkeypatch):
+    """The sweeps each context really runs, as (context, seed, stop)."""
+    swept = []
+    real = modules._sweeps.sweep
+
+    def counted(self, seed, stop):
+        swept.append((self, seed, stop))
+        return real(self, seed, stop)
+
+    monkeypatch.setattr(modules._sweeps, "sweep", counted)
+    return swept
+
+
+def test_decompose_sweeps_only_the_source_of_a_flat_chain(monkeypatch):
+    # every prefix of a tr chain is a module, so sweeping each node to the
+    # chain's end would cost Θ(n²); the level is read off its source alone
+    z = construct_tr(["a%d" % i for i in range(120)])
+    swept = count_sweeps(monkeypatch)
+    d = decompose(z)
+    assert d.kind == "path" and len(d.children) == 120
+    assert [(seed, stop) for _, seed, stop in swept] == [(z.source, 120)]
+
+
+def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
+    swept = count_sweeps(monkeypatch)
+    rng = seeded(909)
+    inputs = corpus_structures()
+    for _ in range(400):
+        z = rand_structure(rng, rng.randint(1, 8))
+        nodes, arcs = list(z.nodes), list(z.arcs)
+        rng.shuffle(nodes)
+        rng.shuffle(arcs)
+        inputs.append(DecisionStructure(nodes, arcs))
+    for z in inputs:
+        swept.clear()
+        got = decompose(z)
+        seeds = [seed for _, seed, _ in swept]
+        assert len(seeds) == len(set(seeds)), format(z)
+        assert got.to_dict() == oracle_decompose(z).to_dict()
+        ids = z.node_ids()
+        if len(ids) <= 8:
+            assert find_modules(z) == oracle_modules(z)
+            subsets = [m for k in range(1, len(ids) + 1)
+                       for m in itertools.combinations(ids, k)]
+        else:
+            subsets = [rng.sample(ids, rng.randint(1, len(ids)))
+                       for _ in range(200)]
+        # one context answers them all in random order, so a check may
+        # read the prefix of an earlier, longer sweep of its first node
+        rng.shuffle(subsets)
+        sweeps = modules._sweeps(z)
+        for m in subsets:
+            assert sweeps.is_module(set(m)) == oracle_is_module(z, m), \
+                (format(z), m)
+
+
 def test_modules_of_a_module_are_the_modules_of_z_inside_it():
     rng = seeded(20261018)
     randoms = [rand_structure(rng, rng.randint(2, 12)) for _ in range(150)]
@@ -403,15 +483,20 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
         from decstruct.cli import main
         z = load_structure(sys.argv[1])
         sys.setrecursionlimit(120)
-        outputs = [decompose(z).to_dict()]
+        outputs = [decompose(z).to_dict(), repr(decompose(z))]
         for argv in (["decompose"], ["complexity"],
                      ["--format", "json", "complexity"], ["classify"],
-                     ["--format", "json", "classify"], ["extract"]):
+                     ["--format", "json", "classify"], ["extract"],
+                     ["export-dot", "--decomposition"],
+                     ["--format", "json", "decompose"]):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(argv + [sys.argv[1]]) == 0, argv
             outputs.append(buf.getvalue())
-        sys.setrecursionlimit(1000)  # json itself nests one frame a level
+        # the stdlib reader and writer nest frames per level; the tree's
+        # ~22 MB of indented JSON goes back parsed
+        sys.setrecursionlimit(1000)
+        outputs[-1] = json.loads(outputs[-1])
         print(json.dumps(outputs))
     """)
     src = os.path.dirname(os.path.dirname(decstruct.__file__))
@@ -419,8 +504,9 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert run.returncode == 0, run.stderr
-    tree, text, report, report_json, kind, kind_json, term = \
-        json.loads(run.stdout)
+    (tree, tree_repr, text, report, report_json, kind, kind_json, term,
+     dot, tree_json) = json.loads(run.stdout)
+    assert tree_json == tree
     depth = 0
     while tree["kind"] != "leaf":
         assert tree["kind"] == "path" and len(tree["children"]) == 2
@@ -437,6 +523,17 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
     assert term == want + "\n"
     assert "kbt         yes\n    %s\n" % want in kind
     assert json.loads(kind_json)["kbt"] == want
+    want = "Leaf(a%d)" % (n - 1)
+    for i in reversed(range(n - 1)):
+        want = "path[%s](Leaf(a%d), %s)" % ("sf"[i % 2], i, want)
+    assert tree_repr == want
+    lines = dot.splitlines()
+    assert dot.count("subgraph cluster_") == n - 1
+    assert lines[2:4] == ["  subgraph cluster_1 {", '    label="path[s]";']
+    indent = "  " * n
+    assert lines[3 * n - 1] == indent + '"a%d" [label="x%d"];' % (n - 1, n - 1)
+    assert lines[3 * n:4 * n - 1] == ["  " * i + "}"
+                                      for i in range(n - 1, 0, -1)]
 
 
 def test_decompose_keeps_one_frame_per_tree_level():
