@@ -7,7 +7,8 @@ Three tree languages share one graph target:
   Classic behavior trees are the two-operator case (sequence = ``*_s``,
   fallback = ``*_f``).
 * teleo-reactive programs: an ordered action list; the first item not
-  returning the idle value d is in charge.
+  returning the idle value d is in charge. This is the one-label
+  operator tree ``*_d``, and it is built as one.
 * decision trees: full binary trees of predicates with top/bot branches.
 """
 
@@ -28,16 +29,6 @@ class ArchError(StructureError):
     """Malformed architecture term."""
 
 
-def _leaves(tree):
-    if isinstance(tree, Leaf):
-        yield tree
-    elif isinstance(tree, Op):
-        for c in tree.children:
-            yield from _leaves(c)
-    else:
-        raise ArchError("not an operator tree: %r" % (tree,))
-
-
 def _fresh_ids(actions):
     """One node id per leaf: the action name, suffixed on repeats."""
     ids, used = [], {}
@@ -52,74 +43,67 @@ def _fresh_ids(actions):
 def construct_kbt(tree):
     """Map an operator tree to its decision structure.
 
-    Leaves become nodes in left-to-right order. When leaf i returns r,
+    Leaves become nodes in left-to-right order. When a leaf returns r,
     control climbs the tree: at an ancestor ``*_r`` that has a next
     sibling, it jumps to that sibling's leftmost leaf (one arc labeled
     r); anywhere else it keeps climbing, and at the root the value is
     returned, so no arc is drawn.
+
+    One pass reads the leaves right to left, each with its continuation:
+    the map from each label r to the leaf an r-return jumps to. A child
+    with a next sibling under ``*_r`` maps r to the last leaf read, the
+    leftmost leaf of that sibling; a last child keeps its parent's map.
+    A teleo-reactive program is the one-label case (``construct_tr``).
     """
-    if isinstance(tree, Leaf):
-        return DecisionStructure([(tree.action, tree.action)], [])
-    leaves = list(_leaves(tree))
-    if not leaves:
-        raise ArchError("operator with no leaves")
-    ids = _fresh_ids([l.action for l in leaves])
-    index = {id(l): i for i, l in enumerate(leaves)}
-
-    def leftmost(t):
-        while isinstance(t, Op):
-            if not t.children:
-                raise ArchError("operator with no children")
-            t = t.children[0]
-        return index[id(t)]
-
-    labels = {op.label for op in _ops(tree)}
-    arcs = []
-
-    def walk(t, ancestors):
-        # ancestors: list of (op, child position) from root down to t's parent
+    actions, conts = [], []  # the leaves read so far, right to left
+    stack = [(tree, {}, None)]
+    while stack:
+        t, cont, jump = stack.pop()
+        if jump is not None:  # t has a next sibling under *_jump
+            cont = dict(cont)
+            cont[jump] = len(actions) - 1
         if isinstance(t, Leaf):
-            i = index[id(t)]
-            for r in sorted(labels):
-                for op, pos in reversed(ancestors):
-                    if op.label == r and pos + 1 < len(op.children):
-                        j = leftmost(op.children[pos + 1])
-                        arcs.append((ids[i], ids[j], r))
-                        break
-            return
-        for pos, c in enumerate(t.children):
-            walk(c, ancestors + [(t, pos)])
-
-    walk(tree, [])
-    nodes = [(ids[i], leaves[i].action) for i in range(len(leaves))]
-    return DecisionStructure(nodes, arcs)
+            actions.append(t.action)
+            conts.append(cont)
+        elif not isinstance(t, Op):
+            raise ArchError("not an operator tree: %r" % (t,))
+        elif not t.children:
+            raise ArchError("operator with no children")
+        else:
+            last = len(t.children) - 1
+            stack.extend((c, cont, t.label if i < last else None)
+                         for i, c in enumerate(t.children))
+    n = len(actions)
+    actions.reverse()
+    conts.reverse()
+    ids = _fresh_ids(actions)
+    arcs = [(ids[i], ids[n - 1 - cont[r]], r)
+            for i, cont in enumerate(conts) for r in sorted(cont)]
+    return DecisionStructure(list(zip(ids, actions)), arcs)
 
 
 def construct_bt(tree):
     """construct_kbt restricted to the two classic operators."""
-    bad = {op.label for op in _ops(tree)} - {"s", "f"}
+    labels, stack = set(), [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Op):
+            labels.add(t.label)
+            stack.extend(t.children)
+    bad = labels - {"s", "f"}
     if bad:
         raise ArchError("behavior trees only use labels s and f, got %s"
                         % ", ".join(sorted(bad)))
     return construct_kbt(tree)
 
 
-def _ops(tree):
-    if isinstance(tree, Op):
-        yield tree
-        for c in tree.children:
-            yield from _ops(c)
-
-
 def construct_tr(actions):
-    """An action list becomes a chain of arcs labeled with the idle value."""
-    names = [a.action if isinstance(a, Leaf) else str(a) for a in actions]
-    if not names:
+    """An action list is the one-label k-BT ``*_d`` over its actions: a
+    chain of arcs labeled with the idle value."""
+    leaves = [a if isinstance(a, Leaf) else Leaf(str(a)) for a in actions]
+    if not leaves:
         raise ArchError("empty program")
-    ids = _fresh_ids(names)
-    nodes = list(zip(ids, names))
-    arcs = [(ids[i], ids[i + 1], TR_LABEL) for i in range(len(ids) - 1)]
-    return DecisionStructure(nodes, arcs)
+    return construct_kbt(Op(TR_LABEL, leaves))
 
 
 def construct_dt(tree):

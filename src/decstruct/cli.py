@@ -39,24 +39,25 @@ def _bad(text):
     return _paint(text, "31")
 
 
-def _json_text(obj):
+def _json_chunks(obj):
     """json.dumps(obj, indent=2, sort_keys=True) for str-keyed payloads,
-    without a frame per nesting level: todo is a stack of text chunks and
-    (value, depth) pairs. Strings go through the C string encoder, a list
-    of strings in one join, and other scalars and empty containers
-    through json.dumps itself. A non-str key raises TypeError."""
-    out, todo = [], [(obj, 0)]
+    yielded chunk by chunk and without a frame per nesting level: todo is
+    a stack of text chunks and (value, depth) pairs. Strings go through
+    the C string encoder, a list of strings in one join, and other
+    scalars and empty containers through json.dumps itself. A non-str key
+    raises TypeError."""
+    todo = [(obj, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:
-            out.append(item)
+            yield item
             continue
         value, depth = item
         if isinstance(value, str):
-            out.append(_encode_str(value))
+            yield _encode_str(value)
             continue
         if not value or not isinstance(value, (dict, list, tuple)):
-            out.append(json.dumps(value))
+            yield json.dumps(value)
             continue
         inner = "\n" + "  " * (depth + 1)
         end = "\n" + "  " * depth
@@ -72,18 +73,18 @@ def _json_text(obj):
                             + _encode_str(keys[i]) + ": ")
         elif all(isinstance(x, str) for x in value):
             items = ("," + inner).join(map(_encode_str, value))
-            out.append("[" + inner + items + end + "]")
+            yield "[" + inner + items + end + "]"
         else:
             todo.append(end + "]")
             for i in range(len(value) - 1, -1, -1):
                 todo.append((value[i], depth + 1))
                 todo.append(("," if i else "[") + inner)
-    return "".join(out)
 
 
 def _emit(args, payload, text):
     if args.format == "json":
-        print(_json_text(payload))
+        sys.stdout.writelines(_json_chunks(payload))
+        sys.stdout.write("\n")
     else:
         print(text)
 

@@ -13,6 +13,7 @@ grounded through action specifications before evaluation.
 """
 
 import itertools
+import math
 import re
 
 from .structures import FormatError
@@ -222,6 +223,9 @@ def format_formula(f):
 # -- worlds ----------------------------------------------------------------
 
 
+_MAX_STATES = 1 << 20
+
+
 class World:
     """A finite variable frame plus its temporal rules and initial condition."""
 
@@ -243,16 +247,28 @@ class World:
                     if val in self._atoms:
                         raise FormatError("atom %r declared twice" % val)
                     self._atoms[val] = (vi, k)
-        self.states = list(itertools.product(
-            *[range(len(vals)) for _, vals, _ in self.variables]))
-        self.n_states = len(self.states)
-        self.full_mask = (1 << self.n_states) - 1
+        sizes = [len(vals) for _, vals, _ in self.variables]
+        n_states = math.prod(sizes)
+        if n_states > _MAX_STATES:
+            raise FormatError("world has %d states, more than %d"
+                              % (n_states, _MAX_STATES))
+        self.states = list(itertools.product(*map(range, sizes)))
+        self.n_states = n_states
+        self.full_mask = (1 << n_states) - 1
+        # State i has value k of variable v when (i // block) % size == k,
+        # where block is the number of states the later variables span:
+        # each mask is one period of bits, high bit first, repeated. A
+        # variable with no values leaves no states and no masks.
         self._atom_masks = {}
-        for idx, st in enumerate(self.states):
-            bit = 1 << idx
-            for vi, k in enumerate(st):
-                key = (vi, k)
-                self._atom_masks[key] = self._atom_masks.get(key, 0) | bit
+        block = 1
+        for vi in reversed(range(len(sizes)) if n_states else ()):
+            size = sizes[vi]
+            for k in range(size):
+                period = ("0" * (size - 1 - k) * block + "1" * block
+                          + "0" * k * block)
+                self._atom_masks[(vi, k)] = int(
+                    period * (n_states // (size * block)), 2)
+            block *= size
         self.check_atoms(self.init)
         for _, f in self.rules:
             self.check_atoms(f)

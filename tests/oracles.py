@@ -108,6 +108,48 @@ def oracle_decompose(z):
                              children=children, quotient=q)
 
 
+# -- operator trees, by the climbing rule -------------------------------------
+
+
+def oracle_construct_kbt(term):
+    """(nodes, arcs) of an operator term without empty operators, read
+    straight off the climbing rule: when leaf i returns r, scan its
+    ancestors from the nearest up; at the first ``*_r`` whose child on the
+    way has a next sibling, draw an r-arc to that sibling's leftmost leaf.
+    Arcs come in leaf order, each leaf's sorted by label."""
+    found = []  # (leaf, [(op, child position)] root first), left to right
+
+    def collect(t, ancestors):
+        if isinstance(t, Leaf):
+            found.append((t, ancestors))
+            return
+        for pos, c in enumerate(t.children):
+            collect(c, ancestors + [(t, pos)])
+
+    collect(term, [])
+    actions = [leaf.action for leaf, _ in found]
+    ids, seen = [], {}
+    for a in actions:
+        seen[a] = seen.get(a, 0) + 1
+        ids.append(a if seen[a] == 1 else "%s%d" % (a, seen[a]))
+    if len(set(ids)) < len(ids):
+        ids = ["n%d_%s" % (i + 1, a) for i, a in enumerate(actions)]
+    labels = sorted({op.label for _, anc in found for op, _ in anc})
+    arcs = []
+    for i, (_, ancestors) in enumerate(found):
+        for r in labels:
+            for op, pos in reversed(ancestors):
+                if op.label == r and pos + 1 < len(op.children):
+                    target = op.children[pos + 1]
+                    while isinstance(target, Op):
+                        target = target.children[0]
+                    j = next(j for j, (leaf, _) in enumerate(found)
+                             if leaf is target)
+                    arcs.append((ids[i], ids[j], r))
+                    break
+    return list(zip(ids, actions)), arcs
+
+
 # -- interpreters for operator terms -----------------------------------------
 
 
@@ -198,13 +240,17 @@ def rand_structure(rng, n, labels=("s", "f", "m"), extra=0.6):
     return DecisionStructure(nodes, arcs)
 
 
-def rand_term(rng, labels=("s", "f"), max_leaves=6, canonical=False):
+def rand_term(rng, labels=("s", "f"), max_leaves=6, canonical=False,
+              actions=None):
     """A random operator term. With canonical=True the result is stable
     under compression: ops keep >= 2 children and never repeat the label
-    of a direct child op."""
+    of a direct child op. Leaves are a0, a1, ... or, given a list of
+    actions, drawn from it with repeats."""
     counter = itertools.count()
 
     def leaf():
+        if actions:
+            return Leaf(rng.choice(actions))
         return Leaf("a%d" % next(counter))
 
     def go(budget, parent_label):

@@ -1,7 +1,15 @@
 """Construction maps (operator trees, action lists, predicate trees) and
 extraction back out of the graph form."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import decstruct
 
 from decstruct import (
     ArchError,
@@ -21,7 +29,8 @@ from decstruct import (
     structurally_equivalent,
 )
 from conftest import structure
-from oracles import all_states, tick_term
+from oracles import (all_states, oracle_construct_kbt, rand_term, seeded,
+                     tick_term)
 
 
 def test_construct_kbt_single_leaf():
@@ -60,8 +69,58 @@ def test_construct_bt_rejects_other_labels():
 def test_construct_tr_chain():
     z = construct_tr([Leaf("watch"), Leaf("steer"), Leaf("brake")])
     assert z.arcs == [("watch", "steer", "d"), ("steer", "brake", "d")]
+    # a teleo-reactive program is the one-label k-BT over its actions
+    y = construct_kbt(Op("d", [Leaf("watch"), Leaf("steer"), Leaf("brake")]))
+    assert (y.nodes, y.arcs) == (z.nodes, z.arcs)
+    assert construct_tr(["go", "go"]).nodes == [("go", "go"), ("go2", "go")]
     with pytest.raises(ArchError):
         construct_tr([])
+
+
+def test_construct_kbt_and_bt_follow_the_climbing_rule():
+    # repeated actions, and "a2" next to a repeated "a", exercise both
+    # ways of naming nodes; nodes and arcs must match in order
+    rng = seeded(1010)
+    for _ in range(600):
+        labels = tuple(rng.sample(("s", "f", "m"), rng.randint(1, 3)))
+        term = rand_term(rng, labels=labels, max_leaves=rng.randint(1, 12),
+                         actions=["a", "a2", "b", "go"])
+        want = oracle_construct_kbt(term)
+        z = construct_kbt(term)
+        assert (z.nodes, z.arcs) == want, term
+        if "(op m " in format_arch(term):
+            with pytest.raises(ArchError):
+                construct_bt(term)
+        else:
+            z = construct_bt(term)
+            assert (z.nodes, z.arcs) == want, term
+
+
+def test_construct_deep_term_without_recursion():
+    # a 1,200-deep alternating s/f term; parse_arch still recurses, so the
+    # term is built here and handed to the constructors directly
+    code = textwrap.dedent("""
+        import json, sys
+        from decstruct import Leaf, Op, construct_bt, construct_kbt
+        n = 1201
+        term = Leaf("a%d" % (n - 1))
+        for i in reversed(range(n - 1)):
+            term = Op("sf"[i % 2], [Leaf("a%d" % i), term])
+        sys.setrecursionlimit(120)
+        out = [[z.nodes, z.arcs]
+               for z in (construct_kbt(term), construct_bt(term))]
+        sys.setrecursionlimit(1000)
+        print(json.dumps(out))
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    n = 1201
+    want = [[["a%d" % i] * 2 for i in range(n)],
+            [["a%d" % i, "a%d" % (i + 1), "sf"[i % 2]] for i in range(n - 1)]]
+    assert json.loads(run.stdout) == [want, want]
 
 
 def test_construct_dt_shape():

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decstruct
-from decstruct import (Leaf, Op, construct_kbt, format_structure,
-                       parse_structure, structurally_equivalent)
-from decstruct.cli import _json_text, main
+from decstruct import (DecisionStructure, Leaf, Op, construct_kbt, decompose,
+                       format_structure, parse_structure,
+                       structurally_equivalent)
+from decstruct.cli import _json_chunks, main
 from conftest import CORPUS, corpus_path, structure
 
 
@@ -93,6 +94,16 @@ def test_construct_tr_and_dt(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", str(term))
     assert code == 0
     assert "arc wet walk top" in out
+
+
+def test_construct_empty_operator_is_an_error(tmp_path, capsys):
+    term = tmp_path / "t.arch"
+    for text in ("(seq (fb) a)", "(seq a (fb))", "(seq)",
+                 "(fb a (seq b (op m)))"):
+        term.write_text(text)
+        code, out, err = run(capsys, "construct", str(term))
+        assert (code, out, err) == \
+            (1, "", "error: operator with no children\n"), text
 
 
 def test_extract_prime_fails(capsys):
@@ -339,22 +350,53 @@ JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+def json_text(value):
+    return "".join(_json_chunks(value))
+
+
 @settings(max_examples=200, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_the_stdlib(value):
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_writer_edge_cases():
     for value in ([], {}, [[]], {"a": {}}, [{}, []], ["", "\u00e9\"\\"],
                   {"x": [1, 2.5, None, True, "s"]}, float("nan"), -0.0,
                   (1, ("a",)), {"k": ()}, 10 ** 30):
-        assert _json_text(value) == json.dumps(value, indent=2,
-                                               sort_keys=True)
+        assert json_text(value) == json.dumps(value, indent=2,
+                                              sort_keys=True)
     with pytest.raises(TypeError):
-        _json_text({"a": {1: "x"}})
+        json_text({"a": {1: "x"}})
     with pytest.raises(TypeError):
-        _json_text([object()])
+        json_text([object()])
+
+
+def test_json_output_is_written_as_it_is_produced(tmp_path, monkeypatch):
+    # a 101-node alternating chain prints ~1.1 MB of indented JSON; no
+    # single write may hold more than 5% of it
+    n = 101
+    z = DecisionStructure(
+        [("a%d" % i, "x%d" % i) for i in range(n)],
+        [("a%d" % i, "a%d" % (i + 1), "sf"[i % 2]) for i in range(n - 1)])
+    path = tmp_path / "deep.ds"
+    path.write_text(format_structure(z))
+    sizes, parts = [], []
+
+    class Sink:
+        def write(self, text):
+            sizes.append(len(text))
+            parts.append(text)
+
+        def writelines(self, chunks):
+            for text in chunks:
+                self.write(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["--format", "json", "decompose", str(path)]) == 0
+    monkeypatch.undo()
+    assert json.loads("".join(parts)) == decompose(z).to_dict()
+    assert max(sizes) < sum(sizes) // 20
 
 
 def corpus_json_commands():

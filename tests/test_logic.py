@@ -1,5 +1,7 @@
 """LTL syntax, worlds as bitmask frames, action specs, derived conditions."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,32 @@ def test_world_states_and_masks():
     assert w.mask(parse_ltl("hot -> hot")) == w.full_mask
     with pytest.raises(UnknownAtom):
         w.mask(parse_ltl("cold"))
+
+
+def test_world_atom_masks_match_each_state():
+    sizes = [2, 3, 1, 2, 4, 2, 3, 2, 1, 2, 2, 3]
+    variables = []
+    for i, size in enumerate(sizes):
+        if size == 2 and i % 2:
+            variables.append(("b%d" % i, ("b%d" % i, "!b%d" % i), True))
+        else:
+            variables.append(("v%d" % i, ["v%d_%d" % (i, k)
+                                          for k in range(size)], False))
+    w = World(variables)
+    assert w.n_states == len(w.states) == 6912
+    for vi, (name, values, is_bool) in enumerate(variables):
+        for k, value in enumerate(values[:1] if is_bool else values):
+            bits = format(w.atom_mask(value), "0%db" % w.n_states)[::-1]
+            assert bits == "".join("1" if st[vi] == k else "0"
+                                   for st in w.states), value
+
+
+def test_world_state_count_is_guarded():
+    start = time.process_time()
+    with pytest.raises(FormatError, match="1099511627776 states"):
+        World([("b%d" % i, ("b%d" % i, "!b%d" % i), True)
+               for i in range(40)])
+    assert time.process_time() - start < 0.5
 
 
 def test_world_rejects_duplicate_atoms():
