@@ -12,7 +12,6 @@ list. ``("ret", a, v)`` atoms stand for "action a returns v" and are
 grounded through action specifications before evaluation.
 """
 
-import itertools
 import math
 import re
 
@@ -252,7 +251,6 @@ class World:
         if n_states > _MAX_STATES:
             raise FormatError("world has %d states, more than %d"
                               % (n_states, _MAX_STATES))
-        self.states = list(itertools.product(*map(range, sizes)))
         self.n_states = n_states
         self.full_mask = (1 << n_states) - 1
         # State i has value k of variable v when (i // block) % size == k,
@@ -346,9 +344,18 @@ class World:
                 else values[st[vi]]
         return out
 
+    def state(self, i):
+        """State i as a tuple of value indices, one per variable: i read in
+        mixed radix over the domain sizes, the last variable fastest."""
+        out = []
+        for _, values, _ in reversed(self.variables):
+            i, k = divmod(i, len(values))
+            out.append(k)
+        return tuple(reversed(out))
+
     def render_state(self, st):
         if isinstance(st, int):
-            st = self.states[st]
+            st = self.state(st)
         parts = []
         for vi, (name, values, is_bool) in enumerate(self.variables):
             parts.append(values[st[vi]] if not is_bool
@@ -359,7 +366,7 @@ class World:
         """The state with the smallest index inside a nonempty mask."""
         if not mask:
             raise LogicError("empty mask has no states")
-        return self.states[(mask & -mask).bit_length() - 1]
+        return self.state((mask & -mask).bit_length() - 1)
 
     def describe_mask(self, mask):
         """A readable propositional formula equivalent to the mask."""

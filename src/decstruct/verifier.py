@@ -18,6 +18,12 @@ search needs only those, and acceptance reads a group's own edges only
 when its union could add bits. Concrete edges are cut from the covers
 on demand, where the lasso search needs them, and ordered by position.
 Each distinct obligation set is normalized once per tableau.
+
+Every product and merge of covers drops each cover that another one
+dominates: one with the same successor, a state mask that holds its
+own and no more postponed untils (see _Tableau). The automaton keeps
+its language, states and SCCs, and in every case tested its state order
+and lassos; the corpus products take half the cover pairs they took.
 """
 
 from .logic import (TRUE, LogicError, MissingSpec, _build_psi,
@@ -172,6 +178,42 @@ def _untils(f, acc):
 # -- tableau automaton -------------------------------------------------------
 
 
+def _undominated(out):
+    """The covers of `out`, a dict (next bits, next mask, pending) -> state
+    mask, less the dominated ones (see _Tableau), in the order of `out`;
+    but a cover that stays takes the earliest slot among its own and
+    those of the covers it dominates."""
+    covers = [(m, b, n, p) for (b, n, p), m in out.items()]
+    # Often each cover has its own next bits, and none can dominate
+    # another. Testing that on the ints alone spares a tuple and a list
+    # per cover, and the garbage collections they would cause.
+    if len({b for b, _, _ in out}) == len(covers):
+        return covers
+    groups = {}
+    for i, (b, n, _) in enumerate(out):
+        groups.setdefault((b, n), []).append(i)
+    if len(groups) == len(covers):
+        return covers
+    slot = list(range(len(covers)))
+    dropped = set()
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        for i in group:
+            m2, _, _, p2 = covers[i]
+            for j in group:
+                m1, _, _, p1 = covers[j]
+                if j != i and not p1 & ~p2 and not m2 & ~m1:
+                    dropped.add(i)
+                    slot[j] = min(slot[j], i)
+    if not dropped:
+        return covers
+    kept = [j for j in range(len(covers)) if j not in dropped]
+    if any(slot[j] < j for j in kept):
+        kept.sort(key=slot.__getitem__)
+    return [covers[j] for j in kept]
+
+
 class _Tableau:
     """Turns obligation sets into covers.
 
@@ -182,7 +224,19 @@ class _Tableau:
     and the untils whose discharge it postpones, as bits over
     `conditions`. A next mask equal to the full mask stands for no mask
     obligation. Covers are memoized per formula; an obligation set's
-    covers are the pruned product of its members' in repr order."""
+    covers are the pruned product of its members' in repr order.
+
+    Pruning drops dominated covers after every product and merge: c2 =
+    (m2, b, n, p2) goes when some c1 = (m1, b, n, p1) has m2 within m1
+    and p1 within p2. Wherever c2 is an edge, c1 is one to the same
+    successor that discharges at least as much, so the successors, the
+    accepting SCCs and the language stay; and c1 x d dominates c2 x d
+    for any factor d, so partial products may be pruned too. c1 moves up
+    to the earliest slot of the covers it dominates. With that, states
+    are queued and lasso edges found as without pruning on the corpus and
+    on every random question tried, where keeping c1 in its own slot
+    moved the state order of a few; the test suite compares both builds.
+    No single order can promise it for every state mask."""
 
     def __init__(self, world, budget, conditions):
         self.full = world.full_mask
@@ -228,7 +282,7 @@ class _Tableau:
                     nb = normed[bits] = self.norm(bits)
                 key = (nb, nmask, pending)
                 out[key] = out.get(key, 0) | mask
-        return [(m, b, n, p) for (b, n, p), m in out.items()]
+        return _undominated(out)
 
     def product(self, left, right):
         self.budget.spend(len(left) * len(right) if left and right else 1)
@@ -246,7 +300,7 @@ class _Tableau:
                         nb = normed[bits] = norm(bits)
                     key = (nb, nmask, p1 | p2)
                     out[key] = get(key, 0) | m
-        return [(m, b, n, p) for (b, n, p), m in out.items()]
+        return _undominated(out)
 
     def formula_covers(self, f):
         return self.bit_covers(self.intern(f))

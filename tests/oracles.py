@@ -296,11 +296,14 @@ def replay_world():
     return world, ["m0", "m1", "m2", "p", "q"]
 
 
-def rand_entailment(rng, atoms):
-    """A random entailment question: up to two premises, one conclusion."""
-    premises = [rand_formula(rng, atoms, rng.randint(1, 3))
-                for _ in range(rng.randint(0, 2))]
-    return premises, rand_formula(rng, atoms, rng.randint(1, 3))
+def rand_entailment(rng, atoms, depth=None):
+    """A random entailment question: up to two premises, one conclusion,
+    each of the given depth or, by default, of a random depth up to 3."""
+    def formula():
+        return rand_formula(rng, atoms, depth or rng.randint(1, 3))
+
+    premises = [formula() for _ in range(rng.randint(0, 2))]
+    return premises, formula()
 
 
 def rand_formula(rng, atoms, depth):

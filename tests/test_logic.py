@@ -1,5 +1,6 @@
 """LTL syntax, worlds as bitmask frames, action specs, derived conditions."""
 
+import itertools
 import time
 
 import pytest
@@ -110,12 +111,14 @@ def test_world_atom_masks_match_each_state():
             variables.append(("v%d" % i, ["v%d_%d" % (i, k)
                                           for k in range(size)], False))
     w = World(variables)
-    assert w.n_states == len(w.states) == 6912
+    states = [w.state(i) for i in range(w.n_states)]
+    assert w.n_states == len(states) == 6912
+    assert states == list(itertools.product(*map(range, sizes)))
     for vi, (name, values, is_bool) in enumerate(variables):
         for k, value in enumerate(values[:1] if is_bool else values):
             bits = format(w.atom_mask(value), "0%db" % w.n_states)[::-1]
             assert bits == "".join("1" if st[vi] == k else "0"
-                                   for st in w.states), value
+                                   for st in states), value
 
 
 def test_world_state_count_is_guarded():

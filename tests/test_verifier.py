@@ -194,10 +194,10 @@ def check_automaton(world, auto):
 # (concrete edges, distinct (state, successor) pairs) of the automaton of
 # each conjunct of the corpus spec, by structure and conjunct index.
 CONJUNCT_EDGES = {
-    ("z1", 0): (849934, 250984), ("z1", 1): (264194, 80212),
-    ("z2", 0): (357523, 105824), ("z2", 1): (208461, 63453),
-    ("z3", 0): (243232, 70445), ("z3", 1): (134542, 40398),
-    ("z4", 0): (223310, 63245), ("z4", 1): (134542, 40398),
+    ("z1", 0): (250984, 250984), ("z1", 1): (80212, 80212),
+    ("z2", 0): (105824, 105824), ("z2", 1): (63453, 63453),
+    ("z3", 0): (70445, 70445), ("z3", 1): (40398, 40398),
+    ("z4", 0): (63245, 63245), ("z4", 1): (40398, 40398),
 }
 
 
@@ -259,13 +259,97 @@ def test_automaton_matches_checks_on_spelled_out_edges():
     assert auto.all_bits in unions and not _accepting_sccs(auto)
 
 
-def test_corpus_automata_match_checks_on_spelled_out_edges(world, specs,
-                                                           spec_formula):
+def keep_every_cover(out):
+    """_undominated without its filter: every cover of `out`, in order."""
+    return [(m, b, n, p) for (b, n, p), m in out.items()]
+
+
+def keeping_every_cover(monkeypatch, *question):
+    """automaton(*question) built with no cover dropped as dominated."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_undominated", keep_every_cover)
+        return automaton(*question)
+
+
+def observables(world, auto):
+    """What an automaton shows, each state named by its (obligation bits,
+    mask) rather than its id: the verdict, the states in queue order (so
+    also their count), each state's successor set, the SCCs, the
+    accepting SCCs and the lasso."""
+    name = auto.states.__getitem__
+    accepting = _accepting_sccs(auto)
+    tr = accepting and _extract_lasso(world, auto, accepting)
+    return (not accepting, [name(st) for st in auto.succs],
+            {name(st): {name(g[0]) for g in out}
+             for st, out in auto.succs.items()},
+            {frozenset(map(name, c)) for c in _sccs(auto)},
+            {frozenset(map(name, c)) for c in accepting},
+            tr and (tr.prefix, tr.cycle))
+
+
+def test_corpus_automata_match_checks_on_spelled_out_edges(
+        monkeypatch, world, specs, spec_formula):
+    """Each conjunct's automaton passes the spelled-out checks, and shows
+    the same observables as the one built keeping dominated covers."""
     assert spec_formula[0] == "and"
     for (name, i), counts in CONJUNCT_EDGES.items():
-        premises = _premises(structure(name), world, specs)
-        auto = automaton(world, premises, spec_formula[1][i])
+        question = (world, _premises(structure(name), world, specs),
+                    spec_formula[1][i])
+        auto = automaton(*question)
         assert check_automaton(world, auto) == counts, (name, i)
+        assert observables(world, auto) == observables(
+            world, keeping_every_cover(monkeypatch, *question)), (name, i)
+
+
+# Questions on the 12-state world whose states are queued in another
+# order if a dominating cover keeps its own slot, rather than taking the
+# earliest slot of the covers it dominates.
+SLOT_MOVES = [
+    (["F F (!F m1 & (m0 | m1) U (m1 & p))",
+      "G G (F p U m0 U m1) & (F q & ((G m1 | q) | X X q))"], "m1"),
+    (["F G F (m1 U m2) U !G ((m1 & q) & q)",
+      "m0 U (!(q | p) U p) U (m0 | G m1 & m0)"], "G m1"),
+]
+
+
+def test_dropping_dominated_covers_changes_no_observable(monkeypatch):
+    """Random questions show the same automaton observables with and
+    without the dominance filter of _Tableau.product and merge. The
+    corpus conjuncts are compared in the test above, which builds them
+    anyway."""
+    real = verifier._undominated
+    drops = [0]
+
+    def counting(out):
+        covers = real(out)
+        drops[0] += len(covers) < len(out)
+        return covers
+
+    monkeypatch.setattr(verifier, "_undominated", counting)
+
+    def same(*question):
+        before = drops[0]
+        auto = automaton(*question)
+        fired = drops[0] > before
+        assert observables(question[0], auto) == observables(
+            question[0], keeping_every_cover(monkeypatch, *question)), \
+            question
+        return fired
+
+    w, atoms = replay_world()
+    rng = seeded(606)
+    for _ in range(300):
+        premises, conclusion = rand_entailment(rng, atoms)
+        for bound in (None, 2):
+            same(w, premises, conclusion, bound)
+    # Depth-5 questions are where the filter drops covers.
+    rng = seeded(606)
+    fired = sum(same(w, *rand_entailment(rng, atoms, depth=5))
+                for _ in range(200))
+    assert fired >= 10
+    for premises, conclusion in SLOT_MOVES:
+        assert same(w, [parse_ltl(f) for f in premises],
+                    parse_ltl(conclusion))
 
 
 # verify() of z1 and z2 against the corpus spec with a bound: verdict,
@@ -273,17 +357,17 @@ def test_corpus_automata_match_checks_on_spelled_out_edges(world, specs,
 # own path through the build, the SCC search and the lasso search.
 BOUNDED_RUNS = {
     ("z1", 1): (True, 130, 1819, None),
-    ("z1", 2): (True, 778, 173779, None),
-    ("z1", 3): (False, 2210, 449379,
+    ("z1", 2): (True, 778, 89999, None),
+    ("z1", 3): (False, 2210, 225015,
                 ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
                  [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
-    ("z1", 5): (False, 3314, 612855,
+    ("z1", 5): (False, 3314, 312169,
                 ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
                  [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
     ("z2", 1): (True, 114, 1791, None),
-    ("z2", 2): (True, 658, 179581, None),
-    ("z2", 3): (True, 1538, 357777, None),
-    ("z2", 5): (True, 2306, 442901, None),
+    ("z2", 2): (True, 658, 91275, None),
+    ("z2", 3): (True, 1538, 180087, None),
+    ("z2", 5): (True, 2306, 223769, None),
 }
 
 
@@ -425,7 +509,7 @@ def test_action_replacement_unknown_action():
 # actions, one repr per line: the verdict, each return value's masks,
 # the behavioral verdict, its stats and its counterexample.
 ACTION_PAIRS_DIGEST = \
-    "b7c84f9edbd75865b8b9399ad266d82dced1f029ee1773d7b6000663f2339282"
+    "6d79c6accd0c9f3676bf96c284d32a7efe0eafa8a7739071a199165eeb577214"
 
 
 def test_action_replacement_observables_are_pinned(world, specs):
