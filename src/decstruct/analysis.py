@@ -58,13 +58,22 @@ def extract_dt(z):
     labels = z.labels()
     yes = DT_LABELS[0] if DT_LABELS[0] in labels else (labels[0] if labels else None)
 
-    def build(v):
-        if not z.out[v]:
-            return Leaf(z.action_of[v])
-        no = next(r for r in z.out[v] if r != yes)
-        return Pred(z.action_of[v], build(z.out[v][yes]), build(z.out[v][no]))
-
-    return build(z.source)
+    # nodes in preorder, then each built after its subtrees
+    order, stack = [], [z.source]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(z.out[v].values())
+    built = {}
+    for v in reversed(order):
+        out = z.out[v]
+        if not out:
+            built[v] = Leaf(z.action_of[v])
+            continue
+        no = next(r for r in out if r != yes)
+        built[v] = Pred(z.action_of[v], built.pop(out[yes]),
+                        built.pop(out[no]))
+    return built[z.source]
 
 
 def classify(z):

@@ -107,21 +107,27 @@ def construct_tr(actions):
 
 
 def construct_dt(tree):
-    """A predicate tree becomes its own shape with top/bot arc labels."""
-    actions, spans = [], []
-
-    def collect(t):
+    """A predicate tree becomes its own shape with top/bot arc labels.
+    Nodes are numbered in preorder and arcs listed in postorder; the stack
+    holds (t, None) for a term to number and (t, me) for a predicate
+    numbered me whose subtrees' roots are the last two in `roots`."""
+    actions, spans, roots = [], [], []
+    stack = [(tree, None)]
+    while stack:
+        t, me = stack.pop()
+        if me is not None:
+            no, yes = roots.pop(), roots.pop()
+            spans.append((me, yes, no))
+            roots.append(me)
+            continue
+        if not isinstance(t, (Leaf, Pred)):
+            raise ArchError("not a predicate tree: %r" % (t,))
+        actions.append(t.action)
+        me = len(actions) - 1
         if isinstance(t, Leaf):
-            actions.append(t.action)
-            return len(actions) - 1
-        if isinstance(t, Pred):
-            actions.append(t.action)
-            me = len(actions) - 1
-            spans.append((me, collect(t.when_true), collect(t.when_false)))
-            return me
-        raise ArchError("not a predicate tree: %r" % (t,))
-
-    collect(tree)
+            roots.append(me)
+        else:
+            stack += [(t, me), (t.when_false, None), (t.when_true, None)]
     ids = _fresh_ids(actions)
     arcs = []
     for me, yes, no in spans:

@@ -10,6 +10,13 @@ A world is a finite-domain variable frame: its states are one value per
 variable, and propositional formulas evaluate to bitmasks over the state
 list. ``("ret", a, v)`` atoms stand for "action a returns v" and are
 grounded through action specifications before evaluation.
+
+Every pass over a formula is a rule over one walk, ``fold``, which visits
+the formula as a DAG without recursion and calls the rule once per
+distinct subformula object: a subformula shared by many parents, as in
+the selection conditions of a structure with joins, costs once. Atom
+checks, grounding, formatting and the NNF compile are such rules, and
+``World.mask`` is the compile of a propositional formula.
 """
 
 import math
@@ -82,6 +89,39 @@ def f_and(parts):
 
 def f_or(parts):
     return _junction("or", FALSE, TRUE, parts)
+
+
+# -- the one walk ----------------------------------------------------------
+
+_BRANCHES = frozenset(("not", "next", "eventually", "always", "implies",
+                       "until", "release"))
+
+
+def _parts(f):
+    """The subformulas of f; leaves and unknown operators have none."""
+    op = f[0]
+    if op == "and" or op == "or":
+        return f[1]
+    return f[1:] if op in _BRANCHES else ()
+
+
+def fold(f, rule):
+    """rule(g, [results of g's parts]) for each distinct subformula object
+    g of f, after g's parts, left to right; returns f's result. Results
+    are memoized by id, so a shared subformula costs once. The stack
+    holds (g, None) for a g to expand and (g, parts) for a g whose parts
+    are done once it comes back to the top."""
+    done = {}
+    stack = [(f, None)]
+    while stack:
+        g, parts = stack.pop()
+        if parts is not None:
+            done[id(g)] = rule(g, [done[id(p)] for p in parts])
+        elif id(g) not in done:
+            parts = _parts(g)
+            stack.append((g, parts))
+            stack += [(p, None) for p in reversed(parts)]
+    return done[id(f)]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -180,49 +220,112 @@ def parse_ltl(text):
     return result
 
 
-_PREC = {"implies": 20, "or": 30, "and": 40, "until": 50}
+# The infix operators, each with its symbol and binding strength. Leaves
+# and unary operators bind tightest and are never parenthesized.
+_INFIX = {"implies": ("->", 20), "or": ("|", 30), "and": ("&", 40),
+          "until": ("U", 50)}
+_TIGHT = 100
+_SYMBOL = {"not": "!", "next": "X ", "eventually": "F ", "always": "G "}
 
 
 def format_formula(f):
-    """Render a formula with minimal parentheses."""
+    """Render a formula with minimal parentheses: each subformula folds
+    to (text, precedence), and a part is parenthesized where its place
+    needs a higher precedence than its own."""
 
-    def go(f, parent):
-        op = f[0]
-        if op == "true":
-            return "true"
-        if op == "false":
-            return "false"
-        if op == "atom":
-            return f[1]
+    def rule(g, parts):
+        def at(i, need):
+            text, prec = parts[i]
+            return "(" + text + ")" if need > prec else text
+
+        op = g[0]
+        if op in ("true", "false", "atom"):
+            return g[-1], _TIGHT
         if op == "ret":
-            return "ret(%s, %s)" % (f[1], f[2])
+            return "ret(%s, %s)" % g[1:], _TIGHT
         if op == "mask":
-            return "<%d states>" % bin(f[1]).count("1")
-        if op in ("not", "next", "eventually", "always"):
-            sym = {"not": "!", "next": "X ", "eventually": "F ",
-                   "always": "G "}[op]
-            return sym + go(f[1], 90)
-        if op == "until":
-            text = "%s U %s" % (go(f[1], 51), go(f[2], 50))
-        elif op == "and":
-            text = " & ".join(go(p, 41) for p in f[1])
-        elif op == "or":
-            text = " | ".join(go(p, 31) for p in f[1])
-        elif op == "implies":
-            text = "%s -> %s" % (go(f[1], 21), go(f[2], 20))
-        else:
-            raise LogicError("cannot format %r" % (f,))
-        if parent > _PREC[op]:
-            return "(" + text + ")"
-        return text
+            return "<%d states>" % bin(g[1]).count("1"), _TIGHT
+        if op in _SYMBOL:
+            return _SYMBOL[op] + at(0, 90), _TIGHT
+        if op not in _INFIX:
+            raise LogicError("cannot format %r" % (g,))
+        sym, prec = _INFIX[op]
+        # parts bind tighter, but -> and U group to the right
+        texts = [at(i, prec + 1) for i in range(len(parts))]
+        if op == "implies" or op == "until":
+            texts[1] = at(1, prec)
+        return (" %s " % sym).join(texts), prec
 
-    return go(f, 0)
+    return fold(f, rule)[0]
+
+
+# -- negation normal form ----------------------------------------------------
+
+
+def _mk_junction(world, op, parts):
+    """The junction op of parts with their masks merged into one, first."""
+    unit, zero = (world.full_mask, 0) if op == "and" else (0, world.full_mask)
+    merged = unit
+    rest = []
+    for p in parts:
+        if p[0] == "mask":
+            merged = (merged & p[1]) if op == "and" else (merged | p[1])
+        else:
+            rest.append(p)
+    if merged == zero or not rest:
+        return ("mask", merged)
+    if merged != unit:
+        rest = [("mask", merged)] + rest
+    return rest[0] if len(rest) == 1 else (op, tuple(rest))
+
+
+def compile_nnf(world, f, neg=False):
+    """Negation normal form of f, or with neg of its negation, with
+    propositional parts collapsed to masks: leaves become masks, and each
+    junction merges its parts' masks. Each subformula folds to the pair
+    (positive, negative)."""
+    full = world.full_mask
+    top, bot = ("mask", full), ("mask", 0)
+
+    def rule(g, parts):
+        op = g[0]
+        if op == "atom" or op == "mask":
+            m = world.atom_mask(g[1]) if op == "atom" else g[1]
+            return ("mask", m), ("mask", full ^ m)
+        if op == "true" or op == "false":
+            return (top, bot) if op == "true" else (bot, top)
+        if op in _SYMBOL:  # F g is true U g, and G g is false R g
+            p, n = parts[0]
+            if op == "not":
+                return n, p
+            if op == "next":
+                return ("next", p), ("next", n)
+            if op == "eventually":
+                return ("until", top, p), ("release", bot, n)
+            return ("release", bot, p), ("until", top, n)
+        if op == "and" or op == "or":
+            dual = "or" if op == "and" else "and"
+            return (_mk_junction(world, op, [p for p, _ in parts]),
+                    _mk_junction(world, dual, [n for _, n in parts]))
+        if op == "implies" or op == "until":
+            (a, na), (b, nb) = parts
+            if op == "until":
+                return ("until", a, b), ("release", na, nb)
+            return (_mk_junction(world, "or", [na, b]),
+                    _mk_junction(world, "and", [a, nb]))
+        if op == "ret":
+            raise LogicError("ungrounded return atom ret(%s, %s)" % g[1:])
+        raise LogicError("cannot compile %r" % (g,))
+
+    return fold(f, rule)[1 if neg else 0]
 
 
 # -- worlds ----------------------------------------------------------------
 
 
 _MAX_STATES = 1 << 20
+_PROPOSITIONAL = frozenset(("true", "false", "atom", "ret", "mask", "not",
+                            "and", "or", "implies"))
 
 
 class World:
@@ -282,60 +385,19 @@ class World:
 
     def check_atoms(self, f):
         """Verify every atom of a (possibly temporal) formula is declared."""
-        op = f[0]
-        if op == "atom":
-            self.resolve(f[1])
-        elif op in ("and", "or"):
-            for p in f[1]:
-                self.check_atoms(p)
-        elif op in ("not", "next", "eventually", "always"):
-            self.check_atoms(f[1])
-        elif op in ("implies", "until"):
-            self.check_atoms(f[1])
-            self.check_atoms(f[2])
+        fold(f, lambda g, _: g[0] == "atom" and self.resolve(g[1]))
 
     def mask(self, f):
-        """Evaluate a propositional formula to a bitmask over the states."""
-        op = f[0]
-        if op == "true":
-            return self.full_mask
-        if op == "false":
-            return 0
-        if op == "atom":
-            return self.atom_mask(f[1])
-        if op == "mask":
-            return f[1]
-        if op == "not":
-            return self.full_mask ^ self.mask(f[1])
-        if op == "and":
-            m = self.full_mask
-            for p in f[1]:
-                m &= self.mask(p)
-                if not m:
-                    return 0
-            return m
-        if op == "or":
-            m = 0
-            for p in f[1]:
-                m |= self.mask(p)
-            return m
-        if op == "implies":
-            return (self.full_mask ^ self.mask(f[1])) | self.mask(f[2])
-        if op == "ret":
-            raise LogicError("ungrounded return atom ret(%s, %s)" % f[1:])
-        raise LogicError("not a propositional formula: %s" % format_formula(f))
+        """A propositional formula's bitmask over the states: its compile."""
+        if not self.is_propositional(f):
+            raise LogicError("not a propositional formula: %s"
+                             % format_formula(f))
+        return compile_nnf(self, f)[1]
 
     def is_propositional(self, f):
-        op = f[0]
-        if op in ("true", "false", "atom", "mask"):
-            return True
-        if op == "not":
-            return self.is_propositional(f[1])
-        if op in ("and", "or"):
-            return all(self.is_propositional(p) for p in f[1])
-        if op == "implies":
-            return all(self.is_propositional(p) for p in f[1:])
-        return False
+        """No temporal operator anywhere in f. A return atom counts as
+        propositional: grounded, it is a state condition."""
+        return fold(f, lambda g, parts: g[0] in _PROPOSITIONAL and all(parts))
 
     def state_dict(self, st):
         out = {}
@@ -509,15 +571,16 @@ def validate_actions(world, specs):
     """Check atoms and pairwise disjointness of each action's returns."""
     for spec in specs.values():
         world.check_atoms(spec.model)
-        items = list(spec.returns.items())
-        for v, f in items:
+        masks = []
+        for v, f in spec.returns.items():
             world.check_atoms(f)
             if not world.is_propositional(f):
                 raise LogicError("action %r: return condition for %r is not "
                                  "propositional" % (spec.name, v))
-        for i, (v1, f1) in enumerate(items):
-            for v2, f2 in items[i + 1:]:
-                if world.mask(f1) & world.mask(f2):
+            masks.append((v, world.mask(f)))
+        for i, (v1, m1) in enumerate(masks):
+            for v2, m2 in masks[i + 1:]:
+                if m1 & m2:
                     raise OverlappingReturns(spec.name, v1, v2)
 
 
@@ -587,16 +650,15 @@ def _build_psi(z, sel, specs):
 def ground(f, specs):
     """Replace return atoms by the action's return condition (false when
     the action never returns that value)."""
-    op = f[0]
-    if op == "ret":
-        _, action, value = f
-        if action not in specs:
-            raise MissingSpec(action)
-        return specs[action].returns.get(value, FALSE)
-    if op in ("and", "or"):
-        return (op, tuple(ground(p, specs) for p in f[1]))
-    if op in ("not", "next", "eventually", "always"):
-        return (op, ground(f[1], specs))
-    if op in ("implies", "until"):
-        return (op, ground(f[1], specs), ground(f[2], specs))
-    return f
+
+    def rule(g, parts):
+        op = g[0]
+        if op == "ret":
+            if g[1] not in specs:
+                raise MissingSpec(g[1])
+            return specs[g[1]].returns.get(g[2], FALSE)
+        if not parts:
+            return g
+        return (op, tuple(parts)) if op in ("and", "or") else (op, *parts)
+
+    return fold(f, rule)

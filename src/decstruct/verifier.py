@@ -26,9 +26,9 @@ its language, states and SCCs, and in every case tested its state order
 and lassos; the corpus products take half the cover pairs they took.
 """
 
-from .logic import (TRUE, LogicError, MissingSpec, _build_psi,
-                    _return_condition, f_and, f_not, format_formula, ground,
-                    build_psi, selection_conditions, validate_actions)
+from .logic import (LogicError, MissingSpec, _build_psi, _return_condition,
+                    build_psi, compile_nnf, f_and, f_not, fold, format_formula,
+                    ground, selection_conditions, validate_actions)
 from .modules import NotAModule, is_module
 from .structures import DecisionStructure
 
@@ -108,71 +108,6 @@ class Verdict:
 
     def __repr__(self):
         return "Verdict(holds=%r)" % self.holds
-
-
-# -- normal form -------------------------------------------------------------
-
-
-def _mk_junction(world, op, parts):
-    """The junction op of parts with their masks merged into one, first."""
-    full = world.full_mask
-    unit, zero = (full, 0) if op == "and" else (0, full)
-    merged = unit
-    rest = []
-    for p in parts:
-        if p[0] == "mask":
-            merged = (merged & p[1]) if op == "and" else (merged | p[1])
-        else:
-            rest.append(p)
-    if merged == zero or not rest:
-        return ("mask", merged)
-    if merged != unit:
-        rest = [("mask", merged)] + rest
-    return rest[0] if len(rest) == 1 else (op, tuple(rest))
-
-
-def compile_nnf(world, f, neg=False):
-    """Negation normal form with propositional parts collapsed to masks:
-    leaves become masks, and each junction merges its parts' masks."""
-    op = f[0]
-    if op in ("true", "false", "atom", "mask"):
-        m = world.mask(f)
-        return ("mask", (world.full_mask ^ m) if neg else m)
-    if op == "not":
-        return compile_nnf(world, f[1], not neg)
-    if op in ("and", "or"):
-        out = ("or" if (op == "and") == neg else "and")
-        return _mk_junction(world, out,
-                            [compile_nnf(world, p, neg) for p in f[1]])
-    if op == "implies":
-        return compile_nnf(world, ("or", (("not", f[1]), f[2])), neg)
-    if op == "next":
-        return ("next", compile_nnf(world, f[1], neg))
-    if op == "until":
-        a, b = compile_nnf(world, f[1], neg), compile_nnf(world, f[2], neg)
-        return ("release" if neg else "until", a, b)
-    if op == "eventually":
-        return compile_nnf(world, ("until", TRUE, f[1]), neg)
-    if op == "always":
-        sub = compile_nnf(world, f[1], neg)
-        if neg:
-            return ("until", ("mask", world.full_mask), sub)
-        return ("release", ("mask", 0), sub)
-    raise LogicError("cannot compile %r" % (f,))
-
-
-def _untils(f, acc):
-    if f[0] == "until":
-        acc.add(f)
-    if f[0] in ("and", "or"):
-        for p in f[1]:
-            _untils(p, acc)
-    elif f[0] in ("next",):
-        _untils(f[1], acc)
-    elif f[0] in ("until", "release"):
-        _untils(f[1], acc)
-        _untils(f[2], acc)
-    return acc
 
 
 # -- tableau automaton -------------------------------------------------------
@@ -402,7 +337,9 @@ def _group(covers):
 
 
 def _build(world, phi, budget, bound=None):
-    conditions = sorted(_untils(phi, set()), key=repr)
+    untils = set()
+    fold(phi, lambda g, _: g[0] == "until" and untils.add(g))
+    conditions = sorted(untils, key=repr)
     tableau = _Tableau(world, budget, conditions)
     if phi[0] != "mask":
         init = (1 << tableau.intern(phi), world.full_mask)

@@ -4,7 +4,8 @@ Everything here is written directly from the definitions, trading speed
 for obviousness: module membership is tested clause by clause, modules are
 found by enumerating subsets, operator terms are run by a recursive
 interpreter, temporal formulas are evaluated on lasso words position by
-position, and automaton emptiness is decided on spelled-out edges.
+position, formulas are compiled and printed by plain recursion, and
+automaton emptiness is decided on spelled-out edges.
 """
 
 import itertools
@@ -328,6 +329,129 @@ def rand_formula(rng, atoms, depth):
     if pick < 0.91:
         return ("eventually", rand_formula(rng, atoms, depth - 1))
     return ("always", rand_formula(rng, atoms, depth - 1))
+
+
+def rand_any_formula(rng, atoms, depth, full_mask):
+    """A random formula of at most the given depth over every operator
+    the library reads, mask leaves included. About one part in ten is an
+    earlier subformula object again, so the formula is a DAG."""
+    built = []
+
+    def go(depth):
+        if built and rng.random() < 0.1:
+            return rng.choice(built)
+        pick = rng.random() if depth > 0 else rng.random() * 0.25
+        if pick < 0.03:
+            f = ("true",)
+        elif pick < 0.06:
+            f = ("false",)
+        elif pick < 0.09:
+            f = ("mask", rng.randint(0, full_mask))
+        elif pick < 0.25:
+            f = ("atom", rng.choice(atoms))
+        elif pick < 0.35:
+            f = ("not", go(depth - 1))
+        elif pick < 0.47:
+            f = (rng.choice(("and", "or")),
+                 tuple(go(depth - 1) for _ in range(rng.randint(2, 3))))
+        elif pick < 0.55:
+            f = ("implies", go(depth - 1), go(depth - 1))
+        elif pick < 0.65:
+            f = ("until", go(depth - 1), go(depth - 1))
+        else:
+            f = (rng.choice(("next", "eventually", "always")), go(depth - 1))
+        built.append(f)
+        return f
+
+    return go(depth)
+
+
+# -- formulas, by plain recursion ---------------------------------------------
+
+
+def _oracle_junction(world, op, parts):
+    full = world.full_mask
+    unit, zero = (full, 0) if op == "and" else (0, full)
+    merged = unit
+    rest = []
+    for p in parts:
+        if p[0] == "mask":
+            merged = (merged & p[1]) if op == "and" else (merged | p[1])
+        else:
+            rest.append(p)
+    if merged == zero or not rest:
+        return ("mask", merged)
+    if merged != unit:
+        rest = [("mask", merged)] + rest
+    return rest[0] if len(rest) == 1 else (op, tuple(rest))
+
+
+def oracle_compile_nnf(world, f, neg=False):
+    """Negation normal form with propositional parts collapsed to masks,
+    one recursive call per occurrence of a subformula."""
+    op = f[0]
+    if op in ("true", "false", "atom", "mask"):
+        m = {"true": world.full_mask, "false": 0}.get(op)
+        if m is None:
+            m = world.atom_mask(f[1]) if op == "atom" else f[1]
+        return ("mask", (world.full_mask ^ m) if neg else m)
+    if op == "not":
+        return oracle_compile_nnf(world, f[1], not neg)
+    if op in ("and", "or"):
+        out = ("or" if (op == "and") == neg else "and")
+        return _oracle_junction(world, out, [oracle_compile_nnf(world, p, neg)
+                                             for p in f[1]])
+    if op == "implies":
+        return oracle_compile_nnf(world, ("or", (("not", f[1]), f[2])), neg)
+    if op == "next":
+        return ("next", oracle_compile_nnf(world, f[1], neg))
+    if op == "until":
+        a = oracle_compile_nnf(world, f[1], neg)
+        b = oracle_compile_nnf(world, f[2], neg)
+        return ("release" if neg else "until", a, b)
+    if op == "eventually":
+        return oracle_compile_nnf(world, ("until", ("true",), f[1]), neg)
+    if op == "always":
+        sub = oracle_compile_nnf(world, f[1], neg)
+        if neg:
+            return ("until", ("mask", world.full_mask), sub)
+        return ("release", ("mask", 0), sub)
+    raise ValueError("cannot compile %r" % (f,))
+
+
+_ORACLE_PREC = {"implies": 20, "or": 30, "and": 40, "until": 50}
+
+
+def oracle_format_formula(f, parent=0):
+    """A formula's text with minimal parentheses, recursively."""
+    op = f[0]
+    if op in ("true", "false"):
+        return op
+    if op == "atom":
+        return f[1]
+    if op == "ret":
+        return "ret(%s, %s)" % (f[1], f[2])
+    if op == "mask":
+        return "<%d states>" % bin(f[1]).count("1")
+    if op in ("not", "next", "eventually", "always"):
+        sym = {"not": "!", "next": "X ", "eventually": "F ",
+               "always": "G "}[op]
+        return sym + oracle_format_formula(f[1], 90)
+    if op == "until":
+        text = "%s U %s" % (oracle_format_formula(f[1], 51),
+                            oracle_format_formula(f[2], 50))
+    elif op == "and":
+        text = " & ".join(oracle_format_formula(p, 41) for p in f[1])
+    elif op == "or":
+        text = " | ".join(oracle_format_formula(p, 31) for p in f[1])
+    elif op == "implies":
+        text = "%s -> %s" % (oracle_format_formula(f[1], 21),
+                             oracle_format_formula(f[2], 20))
+    else:
+        raise ValueError("cannot format %r" % (f,))
+    if parent > _ORACLE_PREC[op]:
+        return "(" + text + ")"
+    return text
 
 
 # -- automaton emptiness ------------------------------------------------------

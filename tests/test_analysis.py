@@ -1,15 +1,24 @@
 """Complexity numbers, architecture classification, FSM export."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import decstruct
 from decstruct import (
     DecisionStructure,
     Leaf,
     Op,
+    Pred,
     StructureError,
     classify,
     complexity_report,
     construct_bt,
+    construct_dt,
     construct_kbt,
     cyclomatic,
     essential,
@@ -22,6 +31,7 @@ import decstruct.analysis as analysis
 import decstruct.modules as modules
 from decstruct.analysis import classify_text
 from conftest import structure
+from oracles import rand_pred_term, seeded
 
 # name -> (nodes, arcs, cyclomatic, essential)
 COMPLEXITY = {
@@ -186,3 +196,50 @@ def test_modules_and_decomposition_are_computed_once(monkeypatch, z):
     calls.clear()
     classify(z)
     assert calls == ["decompose", "_sweeps"]
+
+
+def comb(n):
+    """An n-level decision-tree comb: a top spine s0 ... s<n-1> with a bot
+    leaf l<i> at each level but the last."""
+    nodes = [("s%d" % i, "s%d" % i) for i in range(n)]
+    nodes += [("l%d" % i, "l%d" % i) for i in range(n - 1)]
+    arcs = [a for i in range(n - 1) for a in (
+        ("s%d" % i, "s%d" % (i + 1), "top"), ("s%d" % i, "l%d" % i, "bot"))]
+    return DecisionStructure(nodes, arcs)
+
+
+def test_extract_dt_of_small_combs_and_random_trees():
+    assert format_arch(extract_dt(comb(3))) == "(dt s0 (dt s1 s2 l1) l0)"
+    assert classify_text(classify(comb(4))).splitlines()[-2:] == [
+        "dt          yes", "    (dt s0 (dt s1 (dt s2 s3 l2) l1) l0)"]
+    rng = seeded(31)
+    for _ in range(200):
+        term = rand_pred_term(rng, max_depth=5)
+        assert extract_dt(construct_dt(term)) == term
+
+
+def test_classify_deep_comb_without_recursion():
+    # 250 levels at a recursion limit of 120; decompose grows faster than
+    # linearly on combs, so a deeper one would take seconds. The extracted
+    # term is rebuilt and compared as a structure, as == would recurse
+    code = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, %r)
+        from decstruct import (classify, construct_dt, extract_dt,
+                               structurally_equivalent)
+        from test_analysis import comb
+        z = comb(250)
+        sys.setrecursionlimit(120)
+        c = classify(z)
+        back = construct_dt(extract_dt(z))
+        out = [c["is_dt"], len(back.nodes),
+               structurally_equivalent(back, z) is not None]
+        sys.setrecursionlimit(1000)
+        print(json.dumps(out))
+    """ % os.path.dirname(__file__))
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [True, 499, True]

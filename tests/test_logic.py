@@ -1,15 +1,22 @@
 """LTL syntax, worlds as bitmask frames, action specs, derived conditions."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decstruct
 from decstruct import (
     DecisionStructure,
     FormatError,
+    LogicError,
     MissingSpec,
     OverlappingReturns,
     UnknownAtom,
@@ -24,7 +31,11 @@ from decstruct import (
     selection_conditions,
     validate_actions,
 )
-from decstruct.logic import FALSE, TRUE, f_and, f_not, f_or, ground
+from decstruct.logic import (FALSE, TRUE, compile_nnf, f_and, f_not, f_or,
+                             fold, ground)
+from oracles import (holds_on_lasso, oracle_compile_nnf,
+                     oracle_format_formula, rand_any_formula, replay_world,
+                     seeded)
 
 
 def test_parse_ltl_precedence():
@@ -282,3 +293,136 @@ def test_corpus_world_shape(world, specs, spec_formula):
     validate_actions(world, specs)
     assert spec_formula[0] == "and"
     assert world.mask(parse_ltl("b0 & bLow")) == 0
+
+
+# -- the one formula walk ----------------------------------------------------
+
+
+def test_fold_calls_the_rule_once_per_distinct_object():
+    p, q = ("atom", "p"), ("atom", "q")
+    f, size = p, 1
+    for _ in range(60):  # a DAG of 242 objects whose tree has 2^61+ nodes
+        f = ("or", (("and", (f, q)), ("and", (f, ("not", q)))))
+        size = 1 + (2 + size) + (3 + size)
+    calls = []
+
+    def counting(g, parts):
+        calls.append(id(g))
+        return 1 + sum(parts)
+
+    assert fold(f, counting) == size
+    assert len(calls) == len(set(calls)) == 2 + 60 * 4
+    # memoized by object, not by value: an equal copy is its own call
+    calls.clear()
+    fold(("and", (p, tuple(list(p)))), counting)
+    assert len(calls) == 3
+
+
+def test_compile_format_and_mask_match_the_recursive_oracles():
+    world, atoms = replay_world()
+    rng = seeded(1212)
+    seen, lassoed = set(), 0
+    for _ in range(20_000):
+        f = rand_any_formula(rng, atoms, rng.randint(0, 5), world.full_mask)
+        ops = set()
+        fold(f, lambda g, _: ops.add(g[0]))
+        seen |= ops
+        for neg in (False, True):
+            assert compile_nnf(world, f, neg) == \
+                oracle_compile_nnf(world, f, neg), (f, neg)
+        assert format_formula(f) == oracle_format_formula(f), f
+        if ops & {"next", "until", "eventually", "always"}:
+            with pytest.raises(LogicError, match="not a propositional"):
+                world.mask(f)
+            continue
+        m = world.mask(f)
+        assert m == oracle_compile_nnf(world, f)[1], f
+        if lassoed < 1000 and "mask" not in ops:
+            lassoed += 1
+            for i in range(world.n_states):
+                assert (m >> i & 1) == holds_on_lasso(
+                    world, f, [], [world.state(i)]), (f, i)
+    assert seen == {"true", "false", "mask", "atom", "not", "and", "or",
+                    "implies", "next", "until", "eventually", "always"}
+    assert lassoed == 1000
+
+
+def test_world_mask_refuses_any_temporal_operator():
+    w = small_world()
+    # a false or true part must not hide a temporal one, in either order
+    for text in ("false & X hot", "X hot & false", "G hot | true",
+                 "true | G hot", "!(F hot)", "idle -> X hot",
+                 "busy & (hot U idle)"):
+        with pytest.raises(LogicError, match="not a propositional formula"):
+            w.mask(parse_ltl(text))
+    ret = ("ret", "A", "s")
+    for f in (ret, ("and", (("atom", "hot"), ret))):
+        with pytest.raises(LogicError, match="ungrounded return atom"):
+            w.mask(f)
+
+
+def test_validate_actions_masks_each_return_once(monkeypatch):
+    w = small_world()
+    masked = []
+    real = World.mask
+
+    def counting(self, f):
+        masked.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(World, "mask", counting)
+    specs = parse_actions("action A { returns s: hot & idle; "
+                          "returns f: !hot; returns r: hot & busy; }")
+    validate_actions(w, specs)
+    assert sorted(masked) == sorted(specs["A"].returns.values())
+
+
+def test_formula_walks_take_deep_formulas_without_recursion():
+    # a 5,000-deep X/U ladder over a return atom, built in code: the walks
+    # run at a recursion limit of 120, and the results are read back
+    # down their spines, as == and repr would recurse
+    code = textwrap.dedent("""
+        import json, sys
+        from decstruct import ActionSpec, World, format_formula
+        from decstruct.logic import compile_nnf, ground
+        w = World([("p", ["p", "!p"], True), ("q", ["q", "!q"], True)])
+        specs = {"A": ActionSpec("A", returns={"s": ("atom", "p")})}
+        f = ("ret", "A", "s")
+        for i in range(5000):
+            f = ("next", f) if i % 2 else ("until", ("atom", "q"), f)
+
+        def spine(g):
+            out = []
+            while g[0] != "mask" and g[0] != "atom":
+                out.append(g[0])
+                g = g[-1]
+            return out + [g[1]]
+
+        sys.setrecursionlimit(120)
+        g = ground(f, specs)
+        w.check_atoms(g)
+        out = [spine(g), spine(compile_nnf(w, g)),
+               spine(compile_nnf(w, g, True)), format_formula(f)]
+        try:
+            w.check_atoms(ground(f, {"A": ActionSpec(
+                "A", returns={"s": ("atom", "r")})}))
+        except Exception as exc:
+            out.append(type(exc).__name__)
+        sys.setrecursionlimit(1000)
+        print(json.dumps(out))
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    ladder = ["next", "until"] * 2500
+    w = World([("p", ["p", "!p"], True), ("q", ["q", "!q"], True)])
+    p = w.mask(parse_ltl("p"))
+    text = "ret(A, s)"
+    for i in range(5000):
+        text = "X (%s)" % text if i % 2 else "q U " + text
+    assert json.loads(run.stdout) == [
+        ladder + ["p"], ladder + [p],
+        [op.replace("until", "release") for op in ladder] + [w.full_mask ^ p],
+        text, "UnknownAtom"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -449,22 +450,52 @@ def test_compile_nnf_masks_propositional_subformulas():
 
 
 def test_compile_nnf_masks_only_the_leaves(monkeypatch):
+    # leaves take their masks from the world directly: the compile calls
+    # neither World.mask, which is itself the compile, nor the
+    # propositional test
     w = w2()
-    masked = []
-    real = type(w).mask
-
-    def counting(self, f):
-        masked.append(f)
-        return real(self, f)
 
     def refuse(self, f):
-        raise AssertionError("is_propositional called on %r" % (f,))
+        raise AssertionError("compile called World.mask or "
+                             "is_propositional on %r" % (f,))
 
-    monkeypatch.setattr(type(w), "mask", counting)
+    monkeypatch.setattr(type(w), "mask", refuse)
     monkeypatch.setattr(type(w), "is_propositional", refuse)
     f = compile_nnf(w, parse_ltl("G ((p & !(q | p)) -> X (p | q U !p))"))
     assert f[0] == "release"
-    assert [g[0] for g in masked] == ["atom"] * 6
+
+
+def diamonds(k):
+    """A chain of k diamonds: a_i branches to b_i and c_i, which rejoin
+    at a_(i+1). The selection conditions share each a_i's among all
+    later nodes, so a formula walk that does not memoize takes 2^k."""
+    nodes, arcs = [("a0", "A")], []
+    for i in range(k):
+        a, b, c, d = "a%d" % i, "b%d" % i, "c%d" % i, "a%d" % (i + 1)
+        nodes += [(b, "B"), (c, "C"), (d, "A")]
+        arcs += [(a, b, "s"), (a, c, "f"), (b, d, "s"), (c, d, "s")]
+    return DecisionStructure(nodes, arcs)
+
+
+def test_diamond_chains_cost_linear_formula_walks():
+    z = diamonds(40)
+    w = w2()
+    specs = parse_actions("""
+        action A { model: G (p -> X p); returns s: p; returns f: !p; }
+        action B { returns s: q; }
+        action C { returns s: !q; }
+    """)
+    start = time.process_time()
+    v = verify(z, w, specs, parse_ltl("G (p -> X p) | F q"))
+    assert time.process_time() - start < 1.0
+    assert not v.holds
+    assert v.stats["automaton_states"] == 7
+    members = {n for n, _ in z.nodes} - {"a40"}
+    start = time.process_time()
+    rep = check_module_replacement(z, members, z.induced(members), w, specs)
+    assert time.process_time() - start < 1.0
+    assert rep.ok
+    assert sorted(rep.returns) == ["f", "s"]
 
 
 def aspec():
