@@ -137,22 +137,34 @@ def construct_dt(tree):
 
 
 def compress(tree):
-    """Normal form: no single-child operators, no same-label nesting."""
-    if isinstance(tree, Leaf):
-        return tree
-    if isinstance(tree, Pred):
-        return Pred(tree.action, compress(tree.when_true),
-                    compress(tree.when_false))
-    children = []
-    for c in tree.children:
-        c = compress(c)
-        if isinstance(c, Op) and c.label == tree.label:
-            children.extend(c.children)
+    """Normal form: no single-child operators, no same-label nesting.
+    Terms are listed in preorder, then rebuilt in reverse, each after its
+    parts."""
+    order, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        if isinstance(t, Pred):
+            stack += (t.when_false, t.when_true)
+        elif not isinstance(t, Leaf):
+            stack += reversed(t.children)
+    done = {}
+    for t in reversed(order):
+        if isinstance(t, Pred):
+            new = Pred(t.action, done[id(t.when_true)], done[id(t.when_false)])
+        elif isinstance(t, Op):
+            children = []
+            for c in t.children:
+                c = done[id(c)]
+                if isinstance(c, Op) and c.label == t.label:
+                    children.extend(c.children)
+                else:
+                    children.append(c)
+            new = children[0] if len(children) == 1 else Op(t.label, children)
         else:
-            children.append(c)
-    if len(children) == 1:
-        return children[0]
-    return Op(tree.label, children)
+            new = t
+        done[id(t)] = new
+    return done[id(tree)]
 
 
 def extract_kbt(z):
@@ -176,61 +188,60 @@ def _kbt_term(d):
 # -- term syntax -----------------------------------------------------------
 
 
+# The classic operators are written by name: (seq ...) and (fb ...).
+_NAMES = {"s": "seq", "f": "fb"}
+_LABELS = {name: label for label, name in _NAMES.items()}
+
+
 def parse_arch(text):
     """Parse architecture terms written as s-expressions.
 
     ``(seq a (fb b c))`` and ``(fb ...)`` are the classic operators,
     ``(op <label> ...)`` the general one, ``(tr a b c)`` an action list,
     ``(dt pred yes no)`` a predicate node. Bare words are actions.
+    The stack holds [head, args] for each open term.
     """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ArchError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_term():
-        tok = next_token()
-        if tok == ")":
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
+    stack = []
+    for tok in tokens:
+        if tok == "(":
+            head = next(tokens, None)
+            if head is None:
+                raise ArchError("unexpected end of input")
+            stack.append([head, []])
+            continue
+        if tok != ")":
+            term = Leaf(tok)
+        elif stack:
+            term = _close_term(*stack.pop())
+        else:
             raise ArchError("unexpected ')'")
-        if tok != "(":
-            return Leaf(tok)
-        head = next_token()
-        args = []
-        while True:
-            if pos >= len(tokens):
-                raise ArchError("missing ')'")
-            if tokens[pos] == ")":
-                next_token()
-                break
-            args.append(parse_term())
-        if head == "seq":
-            return Op("s", args)
-        if head == "fb":
-            return Op("f", args)
-        if head == "op":
-            if not args or not isinstance(args[0], Leaf):
-                raise ArchError("(op <label> ...) needs a label")
-            return Op(args[0].action, args[1:])
-        if head == "tr":
-            if not all(isinstance(a, Leaf) for a in args):
-                raise ArchError("(tr ...) takes plain actions")
-            return args
-        if head == "dt":
-            if len(args) != 3 or not isinstance(args[0], Leaf):
-                raise ArchError("(dt <pred> <yes> <no>) is ternary")
-            return Pred(args[0].action, args[1], args[2])
-        raise ArchError("unknown operator %r" % head)
+        if stack:
+            stack[-1][1].append(term)
+        elif next(tokens, None) is not None:
+            raise ArchError("trailing input after term")
+        else:
+            return term
+    raise ArchError("missing ')'" if stack else "unexpected end of input")
 
-    term = parse_term()
-    if pos != len(tokens):
-        raise ArchError("trailing input after term")
-    return term
+
+def _close_term(head, args):
+    """The term (head args...) of parse_arch."""
+    if head in _LABELS:
+        return Op(_LABELS[head], args)
+    if head == "op":
+        if not args or not isinstance(args[0], Leaf):
+            raise ArchError("(op <label> ...) needs a label")
+        return Op(args[0].action, args[1:])
+    if head == "tr":
+        if not all(isinstance(a, Leaf) for a in args):
+            raise ArchError("(tr ...) takes plain actions")
+        return args
+    if head == "dt":
+        if len(args) != 3 or not isinstance(args[0], Leaf):
+            raise ArchError("(dt <pred> <yes> <no>) is ternary")
+        return Pred(args[0].action, args[1], args[2])
+    raise ArchError("unknown operator %r" % head)
 
 
 def format_arch(term):
@@ -245,7 +256,7 @@ def format_arch(term):
             out.append(text)
             continue
         if isinstance(t, Op):
-            head = {"s": "seq", "f": "fb"}.get(t.label, "op %s" % t.label)
+            head = _NAMES.get(t.label, "op %s" % t.label)
             parts = t.children
         elif isinstance(t, Pred):
             head, parts = "dt " + t.action, [t.when_true, t.when_false]

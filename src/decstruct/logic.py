@@ -16,7 +16,9 @@ the formula as a DAG without recursion and calls the rule once per
 distinct subformula object: a subformula shared by many parents, as in
 the selection conditions of a structure with joins, costs once. Atom
 checks, grounding, formatting and the NNF compile are such rules, and
-``World.mask`` is the compile of a propositional formula.
+``World.mask`` is the compile of a propositional formula. The parser
+reads from the operator tables that formatting prints with, on an
+explicit stack.
 """
 
 import math
@@ -124,10 +126,23 @@ def fold(f, rule):
     return done[id(f)]
 
 
-# -- parsing ---------------------------------------------------------------
+# -- parsing and printing ----------------------------------------------------
+
+# The infix operators: symbol, binding strength, and whether the operator
+# is binary and groups to the right (the others are n-ary). Leaves and
+# prefix operators bind tightest and are never parenthesized.
+_INFIX = {"implies": ("->", 20, True), "or": ("|", 30, False),
+          "and": ("&", 40, False), "until": ("U", 50, True)}
+_TIGHT = 100
+_SYMBOL = {"not": "!", "next": "X ", "eventually": "F ", "always": "G "}
+# The same tables read backwards, and how tightly each stacked operator of
+# parse_ltl binds: an open parenthesis binds nothing.
+_PREFIX = {sym.strip(): op for op, sym in _SYMBOL.items()}
+_READ_INFIX = {sym: op for op, (sym, _, _) in _INFIX.items()}
+_BINDS = {"(": 0, **dict.fromkeys(_SYMBOL, _TIGHT),
+          **{op: prec for op, (_, prec, _) in _INFIX.items()}}
 
 _TOKEN = re.compile(r"\s*(->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
-_UNARY = {"!": "not", "X": "next", "F": "eventually", "G": "always"}
 
 
 def tokenize_ltl(text):
@@ -145,87 +160,52 @@ def tokenize_ltl(text):
 
 
 def parse_ltl(text):
-    """Parse an LTL formula.
+    """Parse an LTL formula by precedence climbing over the tables that
+    format_formula prints with: the prefix operators of ``_SYMBOL`` bind
+    tightest, then the infix operators of ``_INFIX`` by binding strength,
+    U, &, | and finally ->. & and | are n-ary within one level, not across
+    parentheses, and -> and U group to the right.
 
-    Unary operators bind tightest, then U (right-associative), & , | and
-    finally -> (right-associative).
+    The stack holds [op, parts...] for each operator whose last operand
+    is still to come, and ["("] for an open parenthesis. Each operand read
+    reduces the operators that bind tighter than the operator after it.
     """
-    tokens = tokenize_ltl(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expect=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expect is not None and tok != expect):
-            raise FormatError("expected %s, found %r"
-                              % (expect or "a formula", tok))
+    tokens = tokenize_ltl(text) + [None]
+    stack, pos = [], 0
+    while True:
+        tok = tokens[pos]
         pos += 1
-        return tok
-
-    def p_implies():
-        left = p_or()
-        if peek() == "->":
-            take()
-            return ("implies", left, p_implies())
-        return left
-
-    def p_or():
-        parts = [p_and()]
-        while peek() == "|":
-            take()
-            parts.append(p_and())
-        return parts[0] if len(parts) == 1 else ("or", tuple(parts))
-
-    def p_and():
-        parts = [p_until()]
-        while peek() == "&":
-            take()
-            parts.append(p_until())
-        return parts[0] if len(parts) == 1 else ("and", tuple(parts))
-
-    def p_until():
-        left = p_unary()
-        if peek() == "U":
-            take()
-            return ("until", left, p_until())
-        return left
-
-    def p_unary():
-        tok = peek()
-        if tok in _UNARY:
-            take()
-            return (_UNARY[tok], p_unary())
-        if tok == "(":
-            take()
-            inner = p_implies()
-            take(")")
-            return inner
-        if tok == "true":
-            take()
-            return TRUE
-        if tok == "false":
-            take()
-            return FALSE
-        if tok is None or tok in ("&", "|", "->", ")", "U"):
+        if tok in _PREFIX or tok == "(":
+            stack.append([_PREFIX.get(tok, tok)])
+            continue
+        if tok is None or tok == ")" or tok in _READ_INFIX:
             raise FormatError("expected a formula, found %r" % tok)
-        take()
-        return ("atom", tok)
-
-    result = p_implies()
-    if pos != len(tokens):
-        raise FormatError("trailing tokens after formula: %r" % tokens[pos:])
-    return result
-
-
-# The infix operators, each with its symbol and binding strength. Leaves
-# and unary operators bind tightest and are never parenthesized.
-_INFIX = {"implies": ("->", 20), "or": ("|", 30), "and": ("&", 40),
-          "until": ("U", 50)}
-_TIGHT = 100
-_SYMBOL = {"not": "!", "next": "X ", "eventually": "F ", "always": "G "}
+        f = TRUE if tok == "true" else FALSE if tok == "false" \
+            else ("atom", tok)
+        while True:  # f is a whole operand: read the operator after it
+            tok = tokens[pos]
+            pos += 1
+            op = _READ_INFIX.get(tok)
+            binds = _BINDS.get(op, 0)
+            while stack and _BINDS[stack[-1][0]] > binds:
+                g, *parts = stack.pop()
+                f = (g, *parts, f) if g in _SYMBOL or _INFIX[g][2] \
+                    else (g, (*parts, f))
+            if op:
+                break
+            if tok == ")" and stack:
+                stack.pop()
+            elif stack:
+                raise FormatError("expected ), found %r" % tok)
+            elif tok is not None:
+                raise FormatError("trailing tokens after formula: %r"
+                                  % tokens[pos - 1:-1])
+            else:
+                return f
+        if stack and stack[-1][0] == op and not _INFIX[op][2]:
+            stack[-1].append(f)
+        else:
+            stack.append([op, f])
 
 
 def format_formula(f):
@@ -249,10 +229,11 @@ def format_formula(f):
             return _SYMBOL[op] + at(0, 90), _TIGHT
         if op not in _INFIX:
             raise LogicError("cannot format %r" % (g,))
-        sym, prec = _INFIX[op]
-        # parts bind tighter, but -> and U group to the right
+        sym, prec, right = _INFIX[op]
+        # parts bind tighter, but a right-grouping operator's right part
+        # may be the operator again
         texts = [at(i, prec + 1) for i in range(len(parts))]
-        if op == "implies" or op == "until":
+        if right:
             texts[1] = at(1, prec)
         return (" %s " % sym).join(texts), prec
 

@@ -225,13 +225,8 @@ def contract(z, members):
     members = frozenset(str(m) for m in members)
     if not is_module(z, members):
         raise NotAModule(members)
-    # singletons are modules, and members' source comes first of members
-    # in topological order
-    topo = z.topological_order()
-    first = next(v for v in topo if v in members)
-    blocks = [members if v == first else frozenset([v])
-              for v in topo if v == first or v not in members]
-    return _quotient(z, blocks, z.arcs)
+    return quotient(z, [members] + [[v] for v in z.action_of
+                                    if v not in members])
 
 
 def expand(z, v, q):

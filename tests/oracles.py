@@ -4,15 +4,16 @@ Everything here is written directly from the definitions, trading speed
 for obviousness: module membership is tested clause by clause, modules are
 found by enumerating subsets, operator terms are run by a recursive
 interpreter, temporal formulas are evaluated on lasso words position by
-position, formulas are compiled and printed by plain recursion, and
-automaton emptiness is decided on spelled-out edges.
+position, formulas are compiled and printed by plain recursion, formulas
+and terms are read by recursive descent, and automaton emptiness is
+decided on spelled-out edges.
 """
 
 import itertools
 import random
 
-from decstruct import DecisionStructure, Leaf, Op, Pred
-from decstruct.logic import World
+from decstruct import ArchError, DecisionStructure, FormatError, Leaf, Op, Pred
+from decstruct.logic import World, tokenize_ltl
 
 
 # -- modules, straight from the definition ----------------------------------
@@ -366,6 +367,54 @@ def rand_any_formula(rng, atoms, depth, full_mask):
     return go(depth)
 
 
+LTL_TOKENS = ("a", "b", "true", "false", "!", "X", "F", "G", "&", "|",
+              "->", "U", "(", ")")
+ARCH_TOKENS = ("(", ")", "seq", "fb", "op", "tr", "dt", "a", "b", "m")
+
+
+def rand_ltl_text(rng, depth):
+    """A random well-formed LTL text: operands joined by infix operators
+    of every binding strength, under random prefixes and parentheses."""
+    def operand(depth):
+        pick = rng.random() if depth > 0 else 0
+        if pick < 0.4:
+            return rng.choice(("a", "b", "c", "true", "false"))
+        if pick < 0.65:
+            return rng.choice(("!", "X ", "F ", "G ")) + operand(depth - 1)
+        return "(" + expression(depth - 1) + ")"
+
+    def expression(depth):
+        parts = [operand(depth)]
+        for _ in range(rng.randint(0, 3)):
+            parts += [rng.choice(("&", "|", "->", "U")), operand(depth)]
+        return " ".join(parts)
+
+    return expression(depth)
+
+
+def rand_arch_text(rng, depth):
+    """A random architecture term text over every head, now and then
+    with the wrong arguments for its head."""
+    def term(depth):
+        if depth <= 0 or rng.random() < 0.3:
+            return rng.choice(("a", "b", "c"))
+        head = rng.choice(("seq", "fb", "op m", "op", "tr", "dt a", "dt"))
+        if head == "tr" and rng.random() < 0.8:
+            args = [rng.choice(("a", "b")) for _ in range(rng.randint(0, 3))]
+        elif head.startswith("dt") and rng.random() < 0.8:
+            args = [term(depth - 1), term(depth - 1)]
+        else:
+            args = [term(depth - 1) for _ in range(rng.randint(0, 3))]
+        return "(%s)" % " ".join([head] + args)
+
+    return term(depth)
+
+
+def rand_tokens(rng, tokens, max_len):
+    """Up to max_len tokens drawn at random, space-separated."""
+    return " ".join(rng.choice(tokens) for _ in range(rng.randint(0, max_len)))
+
+
 # -- formulas, by plain recursion ---------------------------------------------
 
 
@@ -452,6 +501,151 @@ def oracle_format_formula(f, parent=0):
     if parent > _ORACLE_PREC[op]:
         return "(" + text + ")"
     return text
+
+
+# -- readers, by recursive descent --------------------------------------------
+
+
+def oracle_parse_ltl(text):
+    """An LTL formula read by one recursive production per binding level."""
+    tokens = tokenize_ltl(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expect=None):
+        nonlocal pos
+        tok = peek()
+        if tok is None or (expect is not None and tok != expect):
+            raise FormatError("expected %s, found %r"
+                              % (expect or "a formula", tok))
+        pos += 1
+        return tok
+
+    def p_implies():
+        left = p_or()
+        if peek() == "->":
+            take()
+            return ("implies", left, p_implies())
+        return left
+
+    def p_or():
+        parts = [p_and()]
+        while peek() == "|":
+            take()
+            parts.append(p_and())
+        return parts[0] if len(parts) == 1 else ("or", tuple(parts))
+
+    def p_and():
+        parts = [p_until()]
+        while peek() == "&":
+            take()
+            parts.append(p_until())
+        return parts[0] if len(parts) == 1 else ("and", tuple(parts))
+
+    def p_until():
+        left = p_unary()
+        if peek() == "U":
+            take()
+            return ("until", left, p_until())
+        return left
+
+    def p_unary():
+        unary = {"!": "not", "X": "next", "F": "eventually", "G": "always"}
+        tok = peek()
+        if tok in unary:
+            take()
+            return (unary[tok], p_unary())
+        if tok == "(":
+            take()
+            inner = p_implies()
+            take(")")
+            return inner
+        if tok in ("true", "false"):
+            take()
+            return (tok,)
+        if tok is None or tok in ("&", "|", "->", ")", "U"):
+            raise FormatError("expected a formula, found %r" % tok)
+        take()
+        return ("atom", tok)
+
+    result = p_implies()
+    if pos != len(tokens):
+        raise FormatError("trailing tokens after formula: %r" % tokens[pos:])
+    return result
+
+
+def oracle_parse_arch(text):
+    """An architecture term read by a recursive term reader."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ArchError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_term():
+        tok = next_token()
+        if tok == ")":
+            raise ArchError("unexpected ')'")
+        if tok != "(":
+            return Leaf(tok)
+        head = next_token()
+        args = []
+        while True:
+            if pos >= len(tokens):
+                raise ArchError("missing ')'")
+            if tokens[pos] == ")":
+                next_token()
+                break
+            args.append(parse_term())
+        if head == "seq":
+            return Op("s", args)
+        if head == "fb":
+            return Op("f", args)
+        if head == "op":
+            if not args or not isinstance(args[0], Leaf):
+                raise ArchError("(op <label> ...) needs a label")
+            return Op(args[0].action, args[1:])
+        if head == "tr":
+            if not all(isinstance(a, Leaf) for a in args):
+                raise ArchError("(tr ...) takes plain actions")
+            return args
+        if head == "dt":
+            if len(args) != 3 or not isinstance(args[0], Leaf):
+                raise ArchError("(dt <pred> <yes> <no>) is ternary")
+            return Pred(args[0].action, args[1], args[2])
+        raise ArchError("unknown operator %r" % head)
+
+    term = parse_term()
+    if pos != len(tokens):
+        raise ArchError("trailing input after term")
+    return term
+
+
+def oracle_compress(tree):
+    """Normal form of an operator term, recursively: no single-child
+    operators, no same-label nesting."""
+    if isinstance(tree, Leaf):
+        return tree
+    if isinstance(tree, Pred):
+        return Pred(tree.action, oracle_compress(tree.when_true),
+                    oracle_compress(tree.when_false))
+    children = []
+    for c in tree.children:
+        c = oracle_compress(c)
+        if isinstance(c, Op) and c.label == tree.label:
+            children.extend(c.children)
+        else:
+            children.append(c)
+    if len(children) == 1:
+        return children[0]
+    return Op(tree.label, children)
 
 
 # -- automaton emptiness ------------------------------------------------------

@@ -29,8 +29,9 @@ from decstruct import (
     structurally_equivalent,
 )
 from conftest import structure
-from oracles import (all_states, oracle_construct_kbt, rand_term, seeded,
-                     tick_term)
+from oracles import (ARCH_TOKENS, all_states, oracle_compress,
+                     oracle_construct_kbt, oracle_parse_arch, rand_arch_text,
+                     rand_term, rand_tokens, seeded, tick_term)
 
 
 def test_construct_kbt_single_leaf():
@@ -97,18 +98,25 @@ def test_construct_kbt_and_bt_follow_the_climbing_rule():
 
 
 def test_construct_deep_term_without_recursion():
-    # a 1,200-deep alternating s/f term; parse_arch still recurses, so the
-    # term is built here and handed to the constructors directly
+    # a 1,200-deep alternating s/f term and a 1,200-deep seq chain, read,
+    # built, compressed and written back at a low recursion limit; the
+    # terms are compared as text, since == on nested terms recurses too
     code = textwrap.dedent("""
         import json, sys
-        from decstruct import Leaf, Op, construct_bt, construct_kbt
+        from decstruct import (compress, construct_bt, construct_kbt,
+                               format_arch, parse_arch)
         n = 1201
-        term = Leaf("a%d" % (n - 1))
+        text = chain = "a%d" % (n - 1)
         for i in reversed(range(n - 1)):
-            term = Op("sf"[i % 2], [Leaf("a%d" % i), term])
+            text = "(%s a%d %s)" % ("seq" if i % 2 == 0 else "fb", i, text)
+            chain = "(seq a%d %s)" % (i, chain)
         sys.setrecursionlimit(120)
+        term = parse_arch(text)
         out = [[z.nodes, z.arcs]
                for z in (construct_kbt(term), construct_bt(term))]
+        out += [format_arch(term) == text,
+                format_arch(compress(term)) == text,
+                format_arch(compress(parse_arch(chain)))]
         sys.setrecursionlimit(1000)
         print(json.dumps(out))
     """)
@@ -120,7 +128,8 @@ def test_construct_deep_term_without_recursion():
     n = 1201
     want = [[["a%d" % i] * 2 for i in range(n)],
             [["a%d" % i, "a%d" % (i + 1), "sf"[i % 2]] for i in range(n - 1)]]
-    assert json.loads(run.stdout) == [want, want]
+    flat = "(seq %s)" % " ".join("a%d" % i for i in range(n))
+    assert json.loads(run.stdout) == [want, want, True, True, flat]
 
 
 def test_construct_dt_shape():
@@ -171,6 +180,38 @@ def test_parse_arch_rejects_malformed_terms():
     for bad in ("(seq a", "(seq a))", "(wat a b)", "(dt p a)", "(op)", ")"):
         with pytest.raises(ArchError):
             parse_arch(bad)
+
+
+def _outcome(fn, x):
+    """fn(x), or the error's type and message (terms are tuples too)."""
+    try:
+        return fn(x), None
+    except (ArchError, AttributeError) as exc:
+        return None, "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_parse_arch_and_compress_match_the_recursive_oracles():
+    # random terms over every head, some with the wrong arguments, and
+    # random token strings, against the recursive reader; every term read
+    # is compressed too, against the recursive compress (a (tr ...) list
+    # has no children to compress, and both say so)
+    rng = seeded(1313)
+    texts = [rand_arch_text(rng, rng.randint(0, 4)) for _ in range(40000)]
+    texts += [rand_tokens(rng, ARCH_TOKENS, 12) for _ in range(30000)]
+    terms, errors = [], set()
+    for text in texts:
+        term, error = _outcome(parse_arch, text)
+        assert (term, error) == _outcome(oracle_parse_arch, text), text
+        if error:
+            errors.add(error.split(" ")[1])
+        else:
+            terms.append(term)
+    assert 30000 < len(terms) < 40000
+    assert errors == {"unexpected", "missing", "trailing", "(op", "(tr",
+                      "(dt", "unknown"}
+    for term in terms:
+        assert _outcome(compress, term) == _outcome(oracle_compress, term), \
+            term
 
 
 def test_tick_matches_derived_return_small():

@@ -33,9 +33,10 @@ from decstruct import (
 )
 from decstruct.logic import (FALSE, TRUE, compile_nnf, f_and, f_not, f_or,
                              fold, ground)
-from oracles import (holds_on_lasso, oracle_compile_nnf,
-                     oracle_format_formula, rand_any_formula, replay_world,
-                     seeded)
+from oracles import (LTL_TOKENS, holds_on_lasso, oracle_compile_nnf,
+                     oracle_format_formula, oracle_parse_ltl,
+                     rand_any_formula, rand_ltl_text, rand_tokens,
+                     replay_world, seeded)
 
 
 def test_parse_ltl_precedence():
@@ -57,6 +58,31 @@ def test_parse_ltl_rejects_garbage():
     for bad in ("", "a &", "( a", "a b", "&", "a ->", "a @ b"):
         with pytest.raises(FormatError):
             parse_ltl(bad)
+
+
+def _read(parse, text):
+    try:
+        return parse(text), None
+    except FormatError as exc:
+        return None, str(exc)
+
+
+def test_parse_ltl_matches_the_recursive_oracle():
+    # well-formed texts mixing every operator, prefixes and parentheses,
+    # then random token strings, most of them rejected
+    rng = seeded(1414)
+    texts = [rand_ltl_text(rng, rng.randint(0, 4)) for _ in range(20000)]
+    texts += [rand_tokens(rng, LTL_TOKENS, 12) for _ in range(20000)]
+    kinds = ("expected a formula, ", "expected ), ", "trailing tokens ")
+    rejected, errors = 0, set()
+    for text in texts:
+        f, error = _read(parse_ltl, text)
+        assert (f, error) == _read(oracle_parse_ltl, text), text
+        if error:
+            rejected += 1
+            errors |= {k for k in kinds if error.startswith(k)}
+    assert 19000 < rejected < 20000
+    assert errors == set(kinds)
 
 
 def test_format_formula_minimal_parens():
@@ -426,3 +452,30 @@ def test_formula_walks_take_deep_formulas_without_recursion():
         ladder + ["p"], ladder + [p],
         [op.replace("until", "release") for op in ladder] + [w.full_mask ^ p],
         text, "UnknownAtom"]
+
+
+def test_parse_ltl_reads_deep_formulas_without_recursion():
+    # 1,200 parentheses, prefixes, right-grouping operators and
+    # conjunctions nested through parentheses, read at a recursion limit
+    # of 120 and compared as text, as == on the trees would recurse
+    n = 1200
+    nested = "a%d & a%d" % (n - 2, n - 1)
+    for i in reversed(range(n - 2)):
+        nested = "a%d & (%s)" % (i, nested)
+    texts = ["(" * n + "a" + ")" * n, "!(" * n + "a" + ")" * n,
+             "G " * n + "a", " -> ".join("a%d" % i for i in range(n)), nested]
+    code = textwrap.dedent("""
+        import json, sys
+        from decstruct import format_formula, parse_ltl
+        texts = json.load(sys.stdin)
+        sys.setrecursionlimit(120)
+        out = [format_formula(parse_ltl(text)) for text in texts]
+        sys.setrecursionlimit(1000)
+        print(json.dumps(out))
+    """)
+    src = os.path.dirname(os.path.dirname(decstruct.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         input=json.dumps(texts), text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == ["a", "!" * n + "a"] + texts[2:]
