@@ -21,10 +21,14 @@ Each distinct obligation set is normalized once per tableau.
 
 Every product and merge of covers drops each cover that another one
 dominates: one with the same successor, a state mask that holds its
-own and no more postponed untils (see _Tableau). The automaton keeps
-its language, states and SCCs, and in every case tested its state order
-and lassos; the corpus products take half the cover pairs they took.
+own and no more postponed untils (see _Tableau). It does so in the dict
+that gathers the product, with no second pass over the covers. The
+automaton keeps its language, states and SCCs, and in every case tested
+its state order and lassos; the corpus products take half the cover
+pairs they took.
 """
+
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 
 from .logic import (LogicError, MissingSpec, _build_psi, _return_condition,
                     build_psi, compile_nnf, f_and, f_not, fold, format_formula,
@@ -113,27 +117,76 @@ class Verdict:
 # -- tableau automaton -------------------------------------------------------
 
 
-def _undominated(out):
-    """The covers of `out`, a dict (next bits, next mask, pending) -> state
-    mask, less the dominated ones (see _Tableau), in the order of `out`;
+def _digits(n):
+    """repr(n) of an int of any size: the int-string limit of Python stops
+    repr above 4,300 digits, a mask of about 14,300 world states."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        return str(Decimal(n))
+
+
+def _key(g, parts):
+    """A fold rule: the key of g from the keys of its parts. Keys sort as
+    the reprs do, and share their parts' keys, so they take memory linear
+    in the formula where reprs take quadratic on a deep one. Reprs with
+    different operators compare as the names do, as no name is a prefix
+    of another; reprs with one operator compare as their parts do, left
+    to right, as no repr is a prefix of another; and masks compare as
+    their digits do. Junctions have two parts or more."""
+    op = g[0]
+    if op == "mask":
+        return op, _digits(g[1])
+    if op == "and" or op == "or":
+        return op, tuple(parts)
+    return (op, *parts)
+
+
+def _covers(out, side):
+    """The covers that product or merge gathered, less the dominated ones
+    (see _Tableau). `out` maps (next bits, next mask) to [state mask,
+    pending] of the first cover with that pair, and `side` maps (next
+    bits, next mask, pending) to [state mask, slot] of each later one,
+    in order of slot."""
+    settled = not side or _settle(out, side)
+    covers = [(m, b, n, p) for (b, n), (m, p) in out.items()]
+    if settled:
+        return covers
+    for (b, n, p), (m, pos) in side.items():
+        covers.insert(pos, (m, b, n, p))
+    return _undominated(covers)
+
+
+def _settle(out, side):
+    """The common case: each (next bits, next mask) has at most one later
+    cover, and one cover of each such pair dominates the other. The
+    dominating cover then stays in `out`, in the first one's slot, and
+    this returns True. Otherwise it changes nothing and returns False."""
+    if len({(b, n) for b, n, _ in side}) < len(side):
+        return False
+    wins = []
+    for (b, n, p2), (m2, _) in side.items():
+        first = out[b, n]
+        m1, p1 = first
+        if p2 & ~p1 or m1 & ~m2:  # the later cover does not dominate
+            if p1 & ~p2 or m2 & ~m1:  # nor does the first
+                return False
+        else:
+            wins.append((first, m2, p2))
+    for first, m2, p2 in wins:
+        first[:] = m2, p2
+    return True
+
+
+def _undominated(covers):
+    """`covers` less the dominated ones (see _Tableau), in their order;
     but a cover that stays takes the earliest slot among its own and
     those of the covers it dominates."""
-    covers = [(m, b, n, p) for (b, n, p), m in out.items()]
-    # Often each cover has its own next bits, and none can dominate
-    # another. Testing that on the ints alone spares a tuple and a list
-    # per cover, and the garbage collections they would cause.
-    if len({b for b, _, _ in out}) == len(covers):
-        return covers
     groups = {}
-    for i, (b, n, _) in enumerate(out):
+    for i, (_, b, n, _) in enumerate(covers):
         groups.setdefault((b, n), []).append(i)
-    if len(groups) == len(covers):
-        return covers
     slot = list(range(len(covers)))
     dropped = set()
     for group in groups.values():
-        if len(group) < 2:
-            continue
         for i in group:
             m2, _, _, p2 = covers[i]
             for j in group:
@@ -141,12 +194,8 @@ def _undominated(out):
                 if j != i and not p1 & ~p2 and not m2 & ~m1:
                     dropped.add(i)
                     slot[j] = min(slot[j], i)
-    if not dropped:
-        return covers
     kept = [j for j in range(len(covers)) if j not in dropped]
-    if any(slot[j] < j for j in kept):
-        kept.sort(key=slot.__getitem__)
-    return [covers[j] for j in kept]
+    return [covers[j] for j in sorted(kept, key=slot.__getitem__)]
 
 
 class _Tableau:
@@ -159,9 +208,12 @@ class _Tableau:
     and the untils whose discharge it postpones, as bits over
     `conditions`. A next mask equal to the full mask stands for no mask
     obligation. Covers are memoized per formula; an obligation set's
-    covers are the pruned product of its members' in repr order.
+    covers are the pruned product of its members' in repr order, and the
+    untils are numbered in repr order. One walk over phi gives every
+    subformula a key that sorts as its repr (_key), with mask digits
+    beyond Python's int-string limit.
 
-    Pruning drops dominated covers after every product and merge: c2 =
+    Pruning drops dominated covers in every product and merge: c2 =
     (m2, b, n, p2) goes when some c1 = (m1, b, n, p1) has m2 within m1
     and p1 within p2. Wherever c2 is an edge, c1 is one to the same
     successor that discharges at least as much, so the successors, the
@@ -171,15 +223,36 @@ class _Tableau:
     are queued and lasso edges found as without pruning on the corpus and
     on every random question tried, where keeping c1 in its own slot
     moved the state order of a few; the test suite compares both builds.
-    No single order can promise it for every state mask."""
+    No single order can promise it for every state mask.
 
-    def __init__(self, world, budget, conditions):
+    The dict that gathers a product holds the first cover of each (next
+    bits, next mask), and sets each later one with other pending bits
+    aside with its slot, the number of distinct covers before it. Mostly
+    a pair has at most one later cover and one of the two dominates the
+    other: the one that stays then takes the first's slot (_settle), and
+    no cover is looked at again. Otherwise the covers are laid out in
+    their slots and filtered by _undominated."""
+
+    def __init__(self, world, budget, phi):
         self.full = world.full_mask
         self.budget = budget
-        self.cond_bit = {c: 1 << i for i, c in enumerate(conditions)}
+        # id of each subformula object of phi -> its _key; phi keeps them
+        # alive, and every formula interned is one of them
+        self.key = {}
+        untils = set()
+
+        def rule(g, parts):
+            if g[0] == "until":
+                untils.add(g)
+            key = self.key[id(g)] = _key(g, parts)
+            return key
+
+        fold(phi, rule)
+        self.conditions = sorted(untils, key=lambda g: self.key[id(g)])
+        self.cond_bit = {c: 1 << i for i, c in enumerate(self.conditions)}
         self.index = {}      # formula -> bit index
         self.formulas = []   # bit index -> formula
-        self.keys = []       # bit index -> repr, the order of set_covers
+        self.keys = []       # bit index -> _key, the order of set_covers
         self.memo = []       # bit index -> covers, once computed
         self.targets = []    # (until bit, target bit), non-mask targets
         # bits -> norm(bits). intern() adds an until's pair to `targets`
@@ -192,7 +265,7 @@ class _Tableau:
         if i is None:
             i = self.index[f] = len(self.formulas)
             self.formulas.append(f)
-            self.keys.append(repr(f))
+            self.keys.append(self.key[id(f)])
             self.memo.append(None)
             if f[0] == "until" and f[2][0] != "mask":
                 self.targets.append((1 << i, 1 << self.intern(f[2])))
@@ -209,20 +282,31 @@ class _Tableau:
 
     def merge(self, covers):
         normed = self.normed
-        out = {}
+        out, side = {}, {}
         for mask, bits, nmask, pending in covers:
             if nmask:
                 nb = normed.get(bits)
                 if nb is None:
                     nb = normed[bits] = self.norm(bits)
-                key = (nb, nmask, pending)
-                out[key] = out.get(key, 0) | mask
-        return _undominated(out)
+                key = (nb, nmask)
+                got = out.get(key)
+                if got is None:
+                    out[key] = [mask, pending]
+                elif got[1] == pending:
+                    got[0] |= mask
+                else:
+                    key += (pending,)
+                    got = side.get(key)
+                    if got is None:
+                        side[key] = [mask, len(out) + len(side)]
+                    else:
+                        got[0] |= mask
+        return _covers(out, side)
 
     def product(self, left, right):
         self.budget.spend(len(left) * len(right) if left and right else 1)
         normed, norm = self.normed, self.norm
-        out = {}
+        out, side = {}, {}
         get = out.get
         for m1, b1, n1, p1 in left:
             for m2, b2, n2, p2 in right:
@@ -233,9 +317,21 @@ class _Tableau:
                     nb = normed.get(bits)
                     if nb is None:
                         nb = normed[bits] = norm(bits)
-                    key = (nb, nmask, p1 | p2)
-                    out[key] = get(key, 0) | m
-        return _undominated(out)
+                    key = (nb, nmask)
+                    p = p1 | p2
+                    got = get(key)
+                    if got is None:
+                        out[key] = [m, p]
+                    elif got[1] == p:
+                        got[0] |= m
+                    else:
+                        key += (p,)
+                        got = side.get(key)
+                        if got is None:
+                            side[key] = [m, len(out) + len(side)]
+                        else:
+                            got[0] |= m
+        return _covers(out, side)
 
     def formula_covers(self, f):
         return self.bit_covers(self.intern(f))
@@ -337,10 +433,8 @@ def _group(covers):
 
 
 def _build(world, phi, budget, bound=None):
-    untils = set()
-    fold(phi, lambda g, _: g[0] == "until" and untils.add(g))
-    conditions = sorted(untils, key=repr)
-    tableau = _Tableau(world, budget, conditions)
+    tableau = _Tableau(world, budget, phi)
+    conditions = tableau.conditions
     if phi[0] != "mask":
         init = (1 << tableau.intern(phi), world.full_mask)
     else:

@@ -5,7 +5,8 @@ for obviousness: module membership is tested clause by clause, modules are
 found by enumerating subsets, operator terms are run by a recursive
 interpreter, temporal formulas are evaluated on lasso words position by
 position, formulas are compiled and printed by plain recursion, formulas
-and terms are read by recursive descent, and automaton emptiness is
+and terms are read by recursive descent, tableau products are gathered in
+one flat dict and filtered in a second pass, and automaton emptiness is
 decided on spelled-out edges.
 """
 
@@ -646,6 +647,81 @@ def oracle_compress(tree):
     if len(children) == 1:
         return children[0]
     return Op(tree.label, children)
+
+
+# -- tableau products, in one flat dict --------------------------------------
+
+
+def flat_product(tableau, left, right):
+    """The covers of left x right as one dict (next bits, next mask,
+    pending) -> state mask, in order of first appearance, with nothing
+    dropped. Charges no budget."""
+    out = {}
+    for m1, b1, n1, p1 in left:
+        for m2, b2, n2, p2 in right:
+            m, nmask = m1 & m2, n1 & n2
+            if m and nmask:
+                key = (tableau.norm(b1 | b2), nmask, p1 | p2)
+                out[key] = out.get(key, 0) | m
+    return out
+
+
+def flat_merge(tableau, covers):
+    """As flat_product, for the union of `covers`."""
+    out = {}
+    for m, b, nmask, p in covers:
+        if nmask:
+            key = (tableau.norm(b), nmask, p)
+            out[key] = out.get(key, 0) | m
+    return out
+
+
+def every_cover(out):
+    """Every cover of a flat dict, in its order."""
+    return [(m, b, n, p) for (b, n, p), m in out.items()]
+
+
+def unfiltered_product(tableau, left, right):
+    """_Tableau.product keeping dominated covers, charged as product."""
+    tableau.budget.spend(len(left) * len(right) if left and right else 1)
+    return every_cover(flat_product(tableau, left, right))
+
+
+def unfiltered_merge(tableau, covers):
+    """_Tableau.merge keeping dominated covers."""
+    return every_cover(flat_merge(tableau, covers))
+
+
+def oracle_undominated(out):
+    """The covers of a flat dict less the dominated ones, each cover that
+    stays in the earliest slot among its own and those it dominates: the
+    filter as a second pass over the flat dict."""
+    covers = every_cover(out)
+    if len({b for b, _, _ in out}) == len(covers):
+        return covers
+    groups = {}
+    for i, (b, n, _) in enumerate(out):
+        groups.setdefault((b, n), []).append(i)
+    if len(groups) == len(covers):
+        return covers
+    slot = list(range(len(covers)))
+    dropped = set()
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        for i in group:
+            m2, _, _, p2 = covers[i]
+            for j in group:
+                m1, _, _, p1 = covers[j]
+                if j != i and not p1 & ~p2 and not m2 & ~m1:
+                    dropped.add(i)
+                    slot[j] = min(slot[j], i)
+    if not dropped:
+        return covers
+    kept = [j for j in range(len(covers)) if j not in dropped]
+    if any(slot[j] < j for j in kept):
+        kept.sort(key=slot.__getitem__)
+    return [covers[j] for j in kept]
 
 
 # -- automaton emptiness ------------------------------------------------------

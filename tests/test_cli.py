@@ -332,18 +332,65 @@ def test_construct_reads_a_deep_term(tmp_path, capsys):
 
 
 def test_verify_reads_a_deep_spec(tmp_path, capsys):
-    def verify(text):
+    def verify(text, *options):
         spec = tmp_path / "spec.ltl"
         spec.write_text(text + "\n")
         return run(capsys, "verify", corpus_path("z1.ds"),
                    "--world", corpus_path("drone.wld"),
                    "--actions", corpus_path("drone.act"),
-                   "--spec", str(spec))
+                   "--spec", str(spec), *options)
 
     assert verify("(" * 400 + "landed" + ")" * 400) == verify("landed")
-    # the tableau still keys obligations by their repr, which recurses
-    assert verify("X " * 1200 + "landed") == \
-        (1, "", "error: input nested too deeply\n")
+    # the tableau's obligation keys are built without recursion, so a
+    # deep X reaches the exploration, which the budget then bounds
+    deep = "X " * 1200 + "landed"
+    assert verify(deep, "--limit", "20000") == (
+        1, "", "error: exploration budget exceeded (20000) on conjunct 1 "
+        "of 1: %s\n" % deep)
+    # both chains meet in one obligation set, and comparing the two
+    # obligations there still recurses; cli.main reports that cleanly
+    chains = "(%sat) | (%sgoal)" % ("X " * 1200, "X " * 1200)
+    assert verify(chains) == (1, "", "error: input nested too deeply\n")
+
+
+def small_world(tmp_path, n_bools):
+    """World, actions and structure files for a world of n_bools bools
+    a1..an whose one rule is G F a1, and a structure of one action that
+    constrains nothing; returns the verify arguments before --spec."""
+    world, actions, z = (tmp_path / n for n in ("w.wld", "a.act", "z.ds"))
+    world.write_text("".join("bool a%d\n" % i for i in range(1, n_bools + 1))
+                     + "rule fair: G F a1\n")
+    actions.write_text("action Stay {\n  model: true;\n}\n")
+    z.write_text("decstruct v1\nnode Stay Stay\n")
+    return ["verify", str(z), "--world", str(world), "--actions", str(actions)]
+
+
+def verify_spec(capsys, tmp_path, args, text):
+    spec = tmp_path / "spec.ltl"
+    spec.write_text(text + "\n")
+    return run(capsys, *args, "--spec", str(spec))
+
+
+def test_verify_decides_a_deep_next_chain(tmp_path, capsys):
+    args = small_world(tmp_path, 1)
+    assert verify_spec(capsys, tmp_path, args, "X " * 1200 + "(a1 | !a1)") \
+        == (0, "holds\n", "")
+    code, out, err = verify_spec(capsys, tmp_path, args, "X " * 1200 + "a1")
+    assert (code, err) == (1, "")
+    assert "\n1200  !a1\n" in out
+
+
+def test_verify_on_a_world_of_16384_states(tmp_path, capsys):
+    # a state mask here has 4,933 digits, over the int-string limit that
+    # repr of a formula with such a mask would meet
+    args = small_world(tmp_path, 14)
+    assert verify_spec(capsys, tmp_path, args, "G F a1") == (0, "holds\n", "")
+    code, out, err = run(capsys, "--format", "json", *args, "--spec",
+                         str(tmp_path / "spec.ltl"))
+    assert (code, json.loads(out)["holds"], err) == (0, True, "")
+    code, out, err = verify_spec(capsys, tmp_path, args, "G a1")
+    assert (code, err) == (1, "")
+    assert out.startswith("fails: G a1\n   0  !a1 & a2 & ")
 
 
 JSON_CHARS = st.sampled_from('ab"\\/\n\t\x00\x7f\xe9\u2028\U0001f600')

@@ -26,9 +26,11 @@ from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
                                 _bfs_edges, _build, _extract_lasso, _group,
                                 _premises, _sccs, compile_nnf)
 from conftest import structure
-from oracles import (all_lassos, bfs_order, concrete_edges, holds_on_lasso,
-                     kosaraju_sccs, oracle_accepting_sccs, oracle_lasso,
-                     rand_entailment, replay_world, seeded)
+from oracles import (all_lassos, bfs_order, concrete_edges, flat_merge,
+                     flat_product, holds_on_lasso, kosaraju_sccs,
+                     oracle_accepting_sccs, oracle_lasso, oracle_undominated,
+                     rand_entailment, replay_world, seeded,
+                     unfiltered_merge, unfiltered_product)
 
 
 def w2():
@@ -260,15 +262,11 @@ def test_automaton_matches_checks_on_spelled_out_edges():
     assert auto.all_bits in unions and not _accepting_sccs(auto)
 
 
-def keep_every_cover(out):
-    """_undominated without its filter: every cover of `out`, in order."""
-    return [(m, b, n, p) for (b, n, p), m in out.items()]
-
-
 def keeping_every_cover(monkeypatch, *question):
     """automaton(*question) built with no cover dropped as dominated."""
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_undominated", keep_every_cover)
+        patch.setattr(verifier._Tableau, "product", unfiltered_product)
+        patch.setattr(verifier._Tableau, "merge", unfiltered_merge)
         return automaton(*question)
 
 
@@ -288,18 +286,96 @@ def observables(world, auto):
             tr and (tr.prefix, tr.cycle))
 
 
+def checking_products(monkeypatch):
+    """Make every _Tableau.product and merge assert that its covers equal
+    the flat dict's filtered by oracle_undominated, order included; return
+    the counts [calls, calls where some (next bits, next mask) repeats]."""
+    calls = [0, 0]
+    real_product = verifier._Tableau.product
+    real_merge = verifier._Tableau.merge
+
+    def check(covers, flat):
+        assert covers == oracle_undominated(flat)
+        calls[0] += 1
+        calls[1] += len({(b, n) for b, n, _ in flat}) < len(flat)
+        return covers
+
+    def product(tableau, left, right):
+        return check(real_product(tableau, left, right),
+                     flat_product(tableau, left, right))
+
+    def merge(tableau, covers):
+        return check(real_merge(tableau, covers), flat_merge(tableau, covers))
+
+    monkeypatch.setattr(verifier._Tableau, "product", product)
+    monkeypatch.setattr(verifier._Tableau, "merge", merge)
+    return calls
+
+
 def test_corpus_automata_match_checks_on_spelled_out_edges(
         monkeypatch, world, specs, spec_formula):
     """Each conjunct's automaton passes the spelled-out checks, and shows
-    the same observables as the one built keeping dominated covers."""
+    the same observables as the one built keeping dominated covers. Every
+    product and merge of its build matches the flat filter."""
     assert spec_formula[0] == "and"
     for (name, i), counts in CONJUNCT_EDGES.items():
         question = (world, _premises(structure(name), world, specs),
                     spec_formula[1][i])
-        auto = automaton(*question)
+        with monkeypatch.context() as patch:
+            calls = checking_products(patch)
+            auto = automaton(*question)
+        assert calls[1] > 0, (name, i)
         assert check_automaton(world, auto) == counts, (name, i)
         assert observables(world, auto) == observables(
             world, keeping_every_cover(monkeypatch, *question)), (name, i)
+
+
+def test_products_match_the_flat_filter_call_by_call(monkeypatch):
+    """product and merge drop dominated covers as they gather them; each
+    result equals the flat dict filtered in a second pass, list order
+    included, on random questions and on hand-built groups that take the
+    general path."""
+    calls = checking_products(monkeypatch)
+    w, atoms = replay_world()
+    rng = seeded(606)
+    for _ in range(300):
+        automaton(w, *rand_entailment(rng, atoms))
+    rng = seeded(606)
+    for _ in range(200):
+        automaton(w, *rand_entailment(rng, atoms, depth=5))
+    assert calls[0] > 15_000 and calls[1] > 500
+    general = []
+    real = verifier._undominated
+    monkeypatch.setattr(verifier, "_undominated",
+                        lambda covers: general.append(covers) or real(covers))
+    tableau = verifier._Tableau(w, Budget(10 ** 6), ("mask", w.full_mask))
+    full = w.full_mask
+    groups = [
+        # neither cover dominates the other: both stay in their slots
+        [(0b011, 1, full, 0b01), (0b110, 1, full, 0b10)],
+        # three covers share one (next bits, next mask) once the fourth
+        # merges into the third: the third and the last each dominate the
+        # first, and both move up before the cover of another pair
+        [(0b001, 1, full, 0b11), (0b100, 2, full, 0), (0b010, 1, full, 0b01),
+         (0b101, 1, full, 0b01), (0b011, 1, full, 0)],
+        # the first cover dominates the second, and the third neither
+        [(0b01, 1, 5, 0b01), (0b01, 1, 5, 0b11), (0b10, 1, 5, 0b10)],
+    ]
+    assert tableau.merge(groups[0]) == groups[0]
+    assert tableau.merge(groups[1]) == [
+        (0b111, 1, full, 0b01), (0b011, 1, full, 0), (0b100, 2, full, 0)]
+    assert tableau.merge(groups[2]) == [groups[2][0], groups[2][2]]
+    assert len(general) == 3
+    rng = seeded(14)
+    for _ in range(3000):
+        groups.append([(rng.randrange(1, 8), rng.randrange(2),
+                        rng.choice((full, 5)), rng.randrange(4))
+                       for _ in range(rng.randrange(1, 7))])
+    for covers in groups:
+        tableau.merge(covers)
+        tableau.product(covers, [(full, 0, full, 0)])
+        tableau.product([(0b101, 4, full, 1)], covers)
+    assert len(general) > 2000
 
 
 # Questions on the 12-state world whose states are queued in another
@@ -318,15 +394,16 @@ def test_dropping_dominated_covers_changes_no_observable(monkeypatch):
     without the dominance filter of _Tableau.product and merge. The
     corpus conjuncts are compared in the test above, which builds them
     anyway."""
-    real = verifier._undominated
+    real = verifier._covers
     drops = [0]
 
-    def counting(out):
-        covers = real(out)
-        drops[0] += len(covers) < len(out)
+    def counting(out, side):
+        gathered = len(out) + len(side)
+        covers = real(out, side)
+        drops[0] += len(covers) < gathered
         return covers
 
-    monkeypatch.setattr(verifier, "_undominated", counting)
+    monkeypatch.setattr(verifier, "_covers", counting)
 
     def same(*question):
         before = drops[0]
@@ -401,6 +478,53 @@ def test_bfs_edges_takes_new_states_in_cover_order():
     assert _bfs_edges(auto, 0, lambda succ, acc: succ == 3) == \
         [(0b10, 2, 0), (0b11, 3, 0)]
     check_automaton(w, auto)
+
+
+def test_obligation_keys_sort_as_the_reprs(monkeypatch):
+    """The tableau orders obligations and conditions by keys built over
+    one walk; they sort as the reprs of their subformulas do."""
+    tableaux = []
+
+    class Recorded(verifier._Tableau):
+        def __init__(self, world, budget, phi):
+            super().__init__(world, budget, phi)
+            tableaux.append((self, phi))
+
+    monkeypatch.setattr(verifier, "_Tableau", Recorded)
+    rng = seeded(606)
+    w, atoms = replay_world()
+    for depth in (None, 5):
+        for _ in range(200):
+            automaton(w, *rand_entailment(rng, atoms, depth=depth))
+    pairs = 0
+    for tableau, phi in tableaux:
+        subformulas, stack = [], [phi]
+        while stack:
+            subformulas.append(stack.pop())
+            stack += logic._parts(subformulas[-1])
+        ordered = sorted(subformulas, key=lambda g: tableau.key[id(g)])
+        for g, h in zip(ordered, ordered[1:]):
+            assert repr(g) <= repr(h)
+            assert (repr(g) == repr(h)) == (
+                tableau.key[id(g)] == tableau.key[id(h)])
+            pairs += 1
+        assert tableau.conditions == sorted(tableau.conditions, key=repr)
+        assert tableau.keys == [tableau.key[id(f)] for f in tableau.formulas]
+    assert pairs > 4000
+
+
+def test_mask_digits_have_no_length_limit():
+    for n in (0, 1, 9, 10, 12345, 1 << 64, (1 << 864) - 1, 10 ** 1300):
+        assert verifier._digits(n) == repr(n)
+    rng = seeded(14)
+    for bits in (4096, 4097, 16384, 100_003):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        text = verifier._digits(n)
+        assert text.isdigit() and text[0] != "0"
+        back = 0
+        for i in range(0, len(text), 1000):  # under the int-string limit
+            back = back * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+        assert back == n
 
 
 def test_norm_memo_matches_the_final_targets(monkeypatch):
