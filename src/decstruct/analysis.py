@@ -4,6 +4,7 @@ import itertools
 import math
 
 from .architectures import DT_LABELS, Leaf, Op, Pred, _kbt_term, format_arch
+from .logic import fold
 from .modules import decompose
 from .structures import DecisionStructure, StructureError
 
@@ -55,25 +56,14 @@ def extract_dt(z):
     """The predicate tree of a tree-shaped binary structure, or None."""
     if not _dt_shape(z):
         return None
-    labels = z.labels()
-    yes = DT_LABELS[0] if DT_LABELS[0] in labels else (labels[0] if labels else None)
+    # the yes branch first: top when it is a label, else the first label
+    labels = sorted(z.labels(), key=lambda r: r != DT_LABELS[0])
 
-    # nodes in preorder, then each built after its subtrees
-    order, stack = [], [z.source]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(z.out[v].values())
-    built = {}
-    for v in reversed(order):
-        out = z.out[v]
-        if not out:
-            built[v] = Leaf(z.action_of[v])
-            continue
-        no = next(r for r in out if r != yes)
-        built[v] = Pred(z.action_of[v], built.pop(out[yes]),
-                        built.pop(out[no]))
-    return built[z.source]
+    def rule(v, parts):
+        return Pred(z.action_of[v], *parts) if parts else Leaf(z.action_of[v])
+
+    return fold(z.source, rule,
+                lambda v: [z.out[v][r] for r in labels] if z.out[v] else ())
 
 
 def classify(z):

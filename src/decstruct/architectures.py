@@ -14,7 +14,8 @@ Three tree languages share one graph target:
 
 from collections import namedtuple
 
-from .modules import decompose
+from .logic import fold
+from .modules import _children, decompose
 from .structures import DecisionStructure, StructureError
 
 Leaf = namedtuple("Leaf", ["action"])
@@ -84,12 +85,9 @@ def construct_kbt(tree):
 
 def construct_bt(tree):
     """construct_kbt restricted to the two classic operators."""
-    labels, stack = set(), [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Op):
-            labels.add(t.label)
-            stack.extend(t.children)
+    labels = set()
+    fold(tree, lambda t, _: isinstance(t, Op) and labels.add(t.label),
+         lambda t: t.children if isinstance(t, Op) else ())
     bad = labels - {"s", "f"}
     if bad:
         raise ArchError("behavior trees only use labels s and f, got %s"
@@ -137,34 +135,22 @@ def construct_dt(tree):
 
 
 def compress(tree):
-    """Normal form: no single-child operators, no same-label nesting.
-    Terms are listed in preorder, then rebuilt in reverse, each after its
-    parts."""
-    order, stack = [], [tree]
-    while stack:
-        t = stack.pop()
-        order.append(t)
+    """Normal form: no single-child operators, no same-label nesting."""
+    def rule(t, parts):
         if isinstance(t, Pred):
-            stack += (t.when_false, t.when_true)
-        elif not isinstance(t, Leaf):
-            stack += reversed(t.children)
-    done = {}
-    for t in reversed(order):
-        if isinstance(t, Pred):
-            new = Pred(t.action, done[id(t.when_true)], done[id(t.when_false)])
-        elif isinstance(t, Op):
-            children = []
-            for c in t.children:
-                c = done[id(c)]
-                if isinstance(c, Op) and c.label == t.label:
-                    children.extend(c.children)
-                else:
-                    children.append(c)
-            new = children[0] if len(children) == 1 else Op(t.label, children)
-        else:
-            new = t
-        done[id(t)] = new
-    return done[id(tree)]
+            return Pred(t.action, *parts)
+        if not isinstance(t, Op):
+            return t
+        children = []
+        for c in parts:
+            if isinstance(c, Op) and c.label == t.label:
+                children.extend(c.children)
+            else:
+                children.append(c)
+        return children[0] if len(children) == 1 else Op(t.label, children)
+
+    return fold(tree, rule, lambda t: () if isinstance(t, Leaf) else (
+        (t.when_true, t.when_false) if isinstance(t, Pred) else t.children))
 
 
 def extract_kbt(z):
@@ -174,15 +160,13 @@ def extract_kbt(z):
 
 def _kbt_term(d):
     """The operator tree of decomposition d, or None if a level is prime.
-    A path has 2+ children and none of its label, so it is compressed.
-    Levels are taken in reverse preorder, each after its children."""
-    terms = {}
-    for n in reversed(list(d.walk())):
-        if n.kind == "prime":
+    A path has 2+ children and none of its label, so it is compressed."""
+    def rule(n, parts):
+        if n.kind == "prime" or None in parts:
             return None
-        terms[n] = Leaf(n.action) if n.is_leaf() else Op(
-            n.label, [terms.pop(c) for c in n.children])
-    return terms[d]
+        return Leaf(n.action) if n.is_leaf() else Op(n.label, parts)
+
+    return fold(d, rule, _children)
 
 
 # -- term syntax -----------------------------------------------------------
@@ -245,29 +229,28 @@ def _close_term(head, args):
 
 
 def format_arch(term):
-    """The s-expression of a term, written without recursion: the stack
-    holds (text, None) for text to emit and (None, t) for a term."""
-    out, stack = [], [(None, term)]
-    while stack:
-        text, t = stack.pop()
+    """The s-expression of a term."""
+    def rule(t, parts):
         if isinstance(t, Leaf):
-            text = t.action
-        if text is not None:
-            out.append(text)
-            continue
+            return t.action
         if isinstance(t, Op):
             head = _NAMES.get(t.label, "op %s" % t.label)
-            parts = t.children
         elif isinstance(t, Pred):
-            head, parts = "dt " + t.action, [t.when_true, t.when_false]
+            head = "dt " + t.action
         elif isinstance(t, list):
-            head, parts = "tr", t
+            head = "tr"
         else:
             raise ArchError("not an architecture term: %r" % (t,))
-        stack.append((")", None))
-        for i in reversed(range(len(parts))):
-            stack.append((None, parts[i]))
-            if i:
-                stack.append((" ", None))
-        stack.append(("(%s " % head, None))
-    return "".join(out)
+        return "(%s %s)" % (head, " ".join(parts))
+
+    return fold(term, rule, _term_parts)
+
+
+def _term_parts(t):
+    """The parts of a term; anything but an operator, a predicate or an
+    action list has none."""
+    if isinstance(t, Op):
+        return t.children
+    if isinstance(t, Pred):
+        return (t.when_true, t.when_false)
+    return t if isinstance(t, list) else ()

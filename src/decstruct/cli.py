@@ -246,14 +246,13 @@ def cmd_classify(args):
         })
     summary = {"labelings": len(rows),
                "bt": sum(1 for r in rows if r["is_bt"])}
-    if args.format == "json":
-        print(json.dumps({"summary": summary, "rows": rows}, indent=2))
-        return 0
+    lines = []
     for r in rows:
         flag = "bt" if r["is_bt"] else "not-bt(essential %d)" % r["essential"]
-        print("%-24s %s" % (flag, " ".join(r["arcs"])))
-    print("labelings %d, expressible as bt: %d"
-          % (summary["labelings"], summary["bt"]))
+        lines.append("%-24s %s" % (flag, " ".join(r["arcs"])))
+    lines.append("labelings %d, expressible as bt: %d"
+                 % (summary["labelings"], summary["bt"]))
+    _emit(args, {"summary": summary, "rows": rows}, "\n".join(lines))
     return 0
 
 
@@ -308,9 +307,10 @@ def cmd_check_replace(args):
                               "--module/--with")
         z = load_structure(args.structure)
         q = load_structure(args.with_structure)
-        report = check_module_replacement(z, _module_set(args.module), q,
-                                          world, specs, limit=args.limit)
-        subject = "module {%s}" % ",".join(sorted(_module_set(args.module)))
+        members = _module_set(args.module)
+        report = check_module_replacement(z, members, q, world, specs,
+                                          limit=args.limit)
+        subject = "module {%s}" % ",".join(sorted(members))
     payload = {
         "ok": report.ok,
         "behavior_holds": report.behavior.holds,

@@ -16,8 +16,10 @@ the formula as a DAG without recursion and calls the rule once per
 distinct subformula object: a subformula shared by many parents, as in
 the selection conditions of a structure with joins, costs once. Atom
 checks, grounding, formatting and the NNF compile are such rules, and
-``World.mask`` is the compile of a propositional formula. The parser
-reads from the operator tables that formatting prints with, on an
+``World.mask`` is the compile of a propositional formula. ``fold`` walks
+any tree, given a function that lists a node's parts, so the passes over
+architecture terms and decomposition trees are rules over it too. The
+parser reads from the operator tables that formatting prints with, on an
 explicit stack.
 """
 
@@ -107,12 +109,15 @@ def _parts(f):
     return f[1:] if op in _BRANCHES else ()
 
 
-def fold(f, rule):
-    """rule(g, [results of g's parts]) for each distinct subformula object
-    g of f, after g's parts, left to right; returns f's result. Results
-    are memoized by id, so a shared subformula costs once. The stack
-    holds (g, None) for a g to expand and (g, parts) for a g whose parts
-    are done once it comes back to the top."""
+def fold(f, rule, parts_of=_parts):
+    """rule(g, [results of g's parts]) for each distinct object g of the
+    tree f, after g's parts, left to right; returns f's result. parts_of(g)
+    lists g's parts, by default the subformulas of a formula; nodes are
+    expanded in preorder. Results are memoized by id, so a shared part
+    costs once, and parts must be objects that the tree itself holds. The
+    stack holds (g, None) for a g to expand and (g, parts) for a g whose
+    parts are done once it comes back to the top; a g with no parts is
+    done as soon as it is expanded."""
     done = {}
     stack = [(f, None)]
     while stack:
@@ -120,9 +125,12 @@ def fold(f, rule):
         if parts is not None:
             done[id(g)] = rule(g, [done[id(p)] for p in parts])
         elif id(g) not in done:
-            parts = _parts(g)
-            stack.append((g, parts))
-            stack += [(p, None) for p in reversed(parts)]
+            parts = parts_of(g)
+            if parts:
+                stack.append((g, parts))
+                stack += [(p, None) for p in reversed(parts)]
+            else:
+                done[id(g)] = rule(g, [])
     return done[id(f)]
 
 
@@ -397,8 +405,6 @@ class World:
         return tuple(reversed(out))
 
     def render_state(self, st):
-        if isinstance(st, int):
-            st = self.state(st)
         parts = []
         for vi, (name, values, is_bool) in enumerate(self.variables):
             parts.append(values[st[vi]] if not is_bool

@@ -27,6 +27,7 @@ level; the one structure built per level is its quotient.
 
 import heapq
 
+from .logic import fold
 from .structures import DecisionStructure, StructureError, _toposort
 
 
@@ -296,22 +297,18 @@ class DecompositionNode:
             stack.extend(reversed(d.children))
 
     def to_dict(self):
-        top = []
-        stack = [(self, top)]  # each node with the list its dict joins
-        while stack:
-            node, into = stack.pop()
+        def rule(node, parts):
             d = {"kind": node.kind, "members": sorted(node.members)}
-            into.append(d)
             if node.kind == "leaf":
                 d["node"] = node.node
                 d["action"] = node.action
             else:
                 if node.kind == "path":
                     d["label"] = node.label
-                d["children"] = []
-                stack.extend((c, d["children"])
-                             for c in reversed(node.children))
-        return top[0]
+                d["children"] = parts
+            return d
+
+        return fold(self, rule, _children)
 
     @property
     def tag(self):
@@ -319,22 +316,12 @@ class DecompositionNode:
         return "path[%s]" % self.label if self.kind == "path" else self.kind
 
     def __repr__(self):
-        # a stack of nodes still to print and the text that follows them
-        out, stack = [], [self]
-        while stack:
-            d = stack.pop()
-            if isinstance(d, str):
-                out.append(d)
-            elif d.kind == "leaf":
-                out.append("Leaf(%s)" % d.node)
-            else:
-                out.append(d.tag + "(")
-                stack.append(")")
-                for i in range(len(d.children) - 1, -1, -1):
-                    stack.append(d.children[i])
-                    if i:
-                        stack.append(", ")
-        return "".join(out)
+        return fold(self, lambda d, parts: "Leaf(%s)" % d.node if d.is_leaf()
+                    else "%s(%s)" % (d.tag, ", ".join(parts)), _children)
+
+
+def _children(d):
+    return d.children
 
 
 def _uniform_path(q):

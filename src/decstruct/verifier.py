@@ -650,6 +650,8 @@ def entails(world, premises, conclusion, bound=None, limit=DEFAULT_LIMIT):
     obligation states within that many steps are explored; a pass is then
     conclusive only when the stats report the exploration as exhausted.
     """
+    if bound is not None and bound < 0:
+        raise LogicError("bound must be 0 or more, got %r" % (bound,))
     phi = f_and(list(premises) + [f_not(conclusion)])
     budget = Budget(limit)
     compiled = compile_nnf(world, phi)

@@ -1,5 +1,6 @@
 """Complexity numbers, architecture classification, FSM export."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import decstruct
 from decstruct import (
+    ArchError,
     DecisionStructure,
     Leaf,
     Op,
@@ -17,21 +19,27 @@ from decstruct import (
     StructureError,
     classify,
     complexity_report,
+    compress,
     construct_bt,
     construct_dt,
     construct_kbt,
     cyclomatic,
+    decompose,
     essential,
     export_fsm,
     extract_dt,
+    extract_kbt,
     format_arch,
+    format_structure,
+    parse_arch,
     relabelings,
 )
 import decstruct.analysis as analysis
 import decstruct.modules as modules
 from decstruct.analysis import classify_text
 from conftest import structure
-from oracles import rand_pred_term, seeded
+from oracles import (rand_arch_text, rand_pred_term, rand_structure,
+                     rand_term, seeded)
 
 # name -> (nodes, arcs, cyclomatic, essential)
 COMPLEXITY = {
@@ -243,3 +251,55 @@ def test_classify_deep_comb_without_recursion():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [True, 499, True]
+
+
+def _text_or_error(fn, term):
+    """fn(term), or its error's type and message."""
+    try:
+        return fn(term)
+    except (ArchError, AttributeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_tree_passes_are_pinned_on_random_inputs():
+    # the sha256 of every output below, in order, first computed before
+    # the tree passes became rules over logic.fold: the decomposition of
+    # random structures and k-BT structures (repr, to_dict JSON with its
+    # key order, extracted operator tree); every random term read over
+    # every head, printed, compressed and built as a BT, errors included;
+    # and predicate trees extracted under three label pairs
+    rng = seeded(1515)
+    digest = hashlib.sha256()
+
+    def pin(text):
+        digest.update(text.encode() + b"\0")
+
+    for i in range(1000):
+        if i % 2:
+            z = construct_kbt(rand_term(rng, labels=("s", "f", "m"),
+                                        max_leaves=rng.randint(1, 14)))
+        else:
+            z = rand_structure(rng, rng.randint(1, 12))
+        d = decompose(z)
+        pin(repr(d))
+        pin(json.dumps(d.to_dict()))
+        kbt = extract_kbt(z)
+        pin("-" if kbt is None else format_arch(kbt))
+    terms = 0
+    for _ in range(3000):
+        try:
+            term = parse_arch(rand_arch_text(rng, rng.randint(0, 4)))
+        except ArchError:
+            continue
+        terms += 1
+        pin(format_arch(term))
+        pin(_text_or_error(lambda t: format_arch(compress(t)), term))
+        pin(_text_or_error(lambda t: format_structure(construct_bt(t)), term))
+    assert terms > 2000
+    for _ in range(300):
+        z = construct_dt(rand_pred_term(rng, max_depth=5))
+        for yes, no in (("top", "bot"), ("y", "n"), ("bot", "x")):
+            arcs = [(t, h, yes if r == "top" else no) for t, h, r in z.arcs]
+            pin(format_arch(extract_dt(DecisionStructure(z.nodes, arcs))))
+    assert digest.hexdigest() == \
+        "ec1800e50e23524b19a6c555ae2abb21780fcce8abe8ae1530508b0726b13551"

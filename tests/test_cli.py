@@ -160,6 +160,19 @@ def test_classify_all_labelings(capsys):
     assert "labelings 16, expressible as bt: 0" in out
 
 
+def test_classify_all_labelings_json_sorts_its_keys(capsys):
+    code, out, _ = run(capsys, "--format", "json", "classify",
+                       corpus_path("not_bt.ds"), "--all-labelings")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["rows", "summary"]
+    assert list(payload["summary"].items()) == [("bt", 0), ("labelings", 16)]
+    assert len(payload["rows"]) == 16
+    assert all(list(r) == ["arcs", "essential", "is_bt"] and not r["is_bt"]
+               for r in payload["rows"])
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_classify_all_labelings_is_bounded(tmp_path):
     # 2**39 labelings: counted up front, never enumerated; the child
     # process keeps an unbounded sweep from stalling the suite
@@ -235,6 +248,17 @@ def test_verify_bounded_note(capsys):
                        "--bound", "0")
     assert code == 0
     assert "within bound only" in out
+
+
+def test_verify_refuses_a_negative_bound(capsys, monkeypatch):
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    code, out, err = run(capsys, "verify", corpus_path("z1.ds"),
+                         "--world", corpus_path("drone.wld"),
+                         "--actions", corpus_path("drone.act"),
+                         "--spec", corpus_path("spec.ltl"),
+                         "--bound", "-1")
+    assert (code, out, err) == (
+        1, "", "error: bound must be 0 or more, got -1\n")
 
 
 def test_verify_budget_error_names_the_conjunct(capsys):

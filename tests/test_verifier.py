@@ -8,6 +8,7 @@ import pytest
 
 from decstruct import (
     DecisionStructure,
+    LogicError,
     MissingSpec,
     NotAModule,
     ResourceLimit,
@@ -559,6 +560,15 @@ def test_entails_bound_reports_non_exhaustive():
     full = entails(w, [parse_ltl("p")], parse_ltl("q"))
     assert not full.holds
     assert full.stats["exhausted"]
+
+
+def test_entails_and_verify_refuse_a_negative_bound(world, specs,
+                                                    spec_formula):
+    # a negative bound explored nothing and passed as "holds"
+    with pytest.raises(LogicError, match=r"^bound must be 0 or more, got -1$"):
+        entails(w2(), [parse_ltl("p")], parse_ltl("q"), bound=-1)
+    with pytest.raises(LogicError, match="got -3"):
+        verify(structure("z1"), world, specs, spec_formula, bound=-3)
 
 
 def test_compile_nnf_masks_propositional_subformulas():
