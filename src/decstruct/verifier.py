@@ -10,14 +10,15 @@ was postponed. A counterexample is then a lasso through an SCC that
 postpones no until forever.
 
 The build numbers each state with a small int when it first meets it,
-and the SCC, acceptance and lasso searches work on those ids alone.
-Many edges of a state share a successor, so the automaton keeps each
-state's distinct successors, with the union of their edges' masks and
-accept bits, and the positions of their covers in cover order. The SCC
-search needs only those, and acceptance reads a group's own edges only
-when its union could add bits. Concrete edges are cut from the covers
-on demand, where the lasso search needs them, and ordered by position.
-Each distinct obligation set is normalized once per tableau.
+and the SCC, acceptance and lasso searches work on those ids alone. A
+state's edges are the covers of its obligation set, in cover order, as
+(mask, successor id, accept bits), less those whose mask misses the
+state's own; they are the very tuples the obligation set keeps, so a
+state costs one list. Each distinct obligation set is normalized once,
+and gets its covers once, per tableau. The covers of a set are the
+product of its members' covers in key order, and the tableau keeps the
+product of every member prefix that a second set asks for, so the sets
+that share that prefix start from it.
 
 Every product and merge of covers drops each cover that another one
 dominates: one with the same successor, a state mask that holds its
@@ -231,7 +232,15 @@ class _Tableau:
     a pair has at most one later cover and one of the two dominates the
     other: the one that stays then takes the first's slot (_settle), and
     no cover is looked at again. Otherwise the covers are laid out in
-    their slots and filtered by _undominated."""
+    their slots and filtered by _undominated.
+
+    set_covers multiplies a set's members in key order, so sets share the
+    partial products of their common key-order prefixes. `prefixes` maps
+    the bits of a member prefix to its product and the budget that product
+    took from the first member on; a set starts from its longest prefix
+    there and spends that budget again, so the budget reads as if every
+    product ran. A prefix is kept the second time a set asks for it, so a
+    prefix that one set alone has costs no memory."""
 
     def __init__(self, world, budget, phi):
         self.full = world.full_mask
@@ -259,6 +268,8 @@ class _Tableau:
         # when it creates the until's bit, so no bits value met before
         # then holds that bit, and no entry ever goes stale.
         self.normed = {}
+        self.prefixes = {}   # prefix bits -> (covers, budget it took)
+        self.asked = set()   # prefix bits asked for once, not yet kept
 
     def intern(self, f):
         i = self.index.get(f)
@@ -382,13 +393,32 @@ class _Tableau:
         return covers
 
     def set_covers(self, bits):
-        """Covers of a conjunction of non-mask obligations."""
+        """Covers of a conjunction of non-mask obligations, multiplied on
+        from the longest kept prefix of its members in key order."""
         members = [i for i in range(bits.bit_length()) if bits >> i & 1]
-        covers = [(self.full, 0, self.full, 0)]
-        for i in sorted(members, key=self.keys.__getitem__):
-            covers = self.product(covers, self.bit_covers(i))
+        members.sort(key=self.keys.__getitem__)
+        heads, head = [], 0  # heads[j]: the bits of members[:j + 1]
+        for i in members:
+            head |= 1 << i
+            heads.append(head)
+        budget, kept, asked = self.budget, self.prefixes, self.asked
+        covers, spent, start = [(self.full, 0, self.full, 0)], 0, 0
+        for j in range(len(members), 0, -1):
+            if heads[j - 1] in kept:
+                covers, spent = kept[heads[j - 1]]
+                budget.spend(spent)
+                start = j
+                break
+        for j in range(start, len(members)):
             if not covers:
                 break
+            right = self.bit_covers(members[j])
+            used = budget.used
+            covers = self.product(covers, right)
+            spent += budget.used - used
+            if heads[j] in asked:
+                kept[heads[j]] = covers, spent
+            asked.add(heads[j])
         return covers
 
 
@@ -405,31 +435,15 @@ class _Automaton:
         # bitmask is set when the cover discharges conditions[i], i.e. the
         # until was not postponed across this step.
         self.steps = steps
-        # id of each reached state, in queue order -> its distinct
-        # successors: the groups of steps[bits], (succ id, mask union,
-        # accept union, positions of the group's covers in steps[bits]),
-        # whose mask union meets the state's mask. Concrete edges are cut
-        # from a group's covers only where acceptance or the lasso needs
-        # them, and a cover's position is its place in cover order.
+        # id of each reached state, in queue order -> its edges: the covers
+        # of steps[bits] whose mask meets the state's mask, in cover order.
+        # A successor reached through covers with different accept bits
+        # has one edge for each. An edge's mask is its cover's, not yet
+        # cut to the state's mask.
         self.succs = succs
         self.conditions = conditions
         self.all_bits = (1 << len(conditions)) - 1
         self.truncated = truncated  # ids seen but not expanded (bound)
-
-
-def _group(covers):
-    """Covers grouped by successor in first-appearance order, as (succ,
-    mask union, accept union, the positions of the group's covers)."""
-    by_succ = {}
-    for pos, (mask, succ, acc) in enumerate(covers):
-        g = by_succ.get(succ)
-        if g is None:
-            by_succ[succ] = [mask, acc, [pos]]
-        else:
-            g[0] |= mask
-            g[1] |= acc
-            g[2].append(pos)
-    return [(succ, m, a, p) for succ, (m, a, p) in by_succ.items()]
 
 
 def _build(world, phi, budget, bound=None):
@@ -444,8 +458,7 @@ def _build(world, phi, budget, bound=None):
     all_bits = (1 << len(conditions)) - 1
     states = [init]  # id -> (obligation bits, mask)
     ids = {init: 0}
-    steps = {}    # obligation bits -> covers before the state's mask filter
-    grouped = {}  # obligation bits -> _group(steps[bits])
+    steps = {}  # obligation bits -> covers before the state's mask filter
     succs = {}
     depth = {0: 0}
     queue = [0]
@@ -469,18 +482,15 @@ def _build(world, phi, budget, bound=None):
                     succ = ids[b, n] = len(states)
                     states.append((b, n))
                 covers.append((m, succ, all_bits ^ p))
-            grouped[bits] = _group(covers)
-        outs = succs[state] = [g for g in grouped[bits] if g[1] & now]
-        # Queue new states in the order of their first edges, as a walk
-        # over the edges does: the queue order fixes the order in which
-        # obligations are interned, and so the bits that name each state.
-        fresh = sorted(next(i for i in pos if covers[i][0] & now)
-                       for succ, _, _, pos in outs if succ not in depth)
+        outs = succs[state] = [c for c in covers if c[0] & now]
+        # Queue new states in the order of their first edges: the queue
+        # order fixes the order in which obligations are interned, and so
+        # the bits that name each state.
         d = depth[state] + 1
-        for i in fresh:
-            succ = covers[i][1]
-            depth[succ] = d
-            queue.append(succ)
+        for _, succ, _ in outs:
+            if succ not in depth:
+                depth[succ] = d
+                queue.append(succ)
     return _Automaton(states, succs, steps, conditions, truncated)
 
 
@@ -503,7 +513,7 @@ def _sccs(auto):
         while work:
             node, it = work[-1]
             advanced = False
-            for succ, _, _, _ in it:
+            for _, succ, _ in it:
                 if index[succ] < 0:
                     index[succ] = low[succ] = counter
                     counter += 1
@@ -534,29 +544,21 @@ def _sccs(auto):
 
 
 def _accepting_sccs(auto):
-    """SCCs with an internal edge that discharge every condition. A
-    group's covers are read only when its accept union could add bits."""
+    """SCCs with an internal edge, whose internal edges together discharge
+    every condition."""
     good = []
-    all_bits = auto.all_bits
-    states, steps, succs = auto.states, auto.steps, auto.succs
+    all_bits, succs = auto.all_bits, auto.succs
     for comp in _sccs(auto):
         seen = 0
         internal = False
         for st in comp:
-            for succ, _, acc, pos in succs[st]:
+            for _, succ, acc in succs[st]:
                 if succ in comp:
                     internal = True
-                    if acc & ~seen:
-                        bits, now = states[st]
-                        covers = steps[bits]
-                        for i in pos:
-                            mask, _, a = covers[i]
-                            if mask & now:
-                                seen |= a
+                    seen |= acc
             if internal and seen == all_bits:
+                good.append(comp)
                 break
-        if internal and seen == all_bits:
-            good.append(comp)
     return good
 
 
@@ -564,46 +566,27 @@ def _bfs_edges(auto, start, goal, allowed=None):
     """Shortest edge path from `start` to the first edge (mask, succ,
     accept) with goal(succ, accept), taking states breadth first and each
     state's edges in cover order, and passing only through states in
-    `allowed` when given; returns the path as a list of edges or None.
-
-    The search walks successor groups, so goal(succ, accept union) must
-    hold for every group that has a goal edge. Edges are cut from a
-    group's covers only for goal candidates and new states, and are
-    ordered by cover position."""
-    states, steps, succs = auto.states, auto.steps, auto.succs
+    `allowed` when given; returns the path as a list of edges, each mask
+    cut to its state's, or None. A new state is queued at the first edge
+    that meets it."""
+    states, succs = auto.states, auto.succs
     parent = {start: None}
     queue = [start]
     qi = 0
     while qi < len(queue):
         st = queue[qi]
         qi += 1
-        outs = succs[st]
-        if not outs:
-            continue
-        bits, now = states[st]
-        covers = steps[bits]
-        hits, fresh = [], []
-        for succ, _, acc, pos in outs:
+        now = states[st][1]
+        for mask, succ, acc in succs[st]:
             if goal(succ, acc):
-                for i in pos:
-                    if covers[i][0] & now and goal(succ, covers[i][2]):
-                        hits.append(i)
-                        break
+                path = [(mask & now, succ, acc)]
+                while parent[st] is not None:
+                    st, edge = parent[st]
+                    path.append(edge)
+                return path[::-1]
             if succ not in parent and (allowed is None or succ in allowed):
-                fresh.append(next(i for i in pos if covers[i][0] & now))
-        if hits:
-            mask, succ, acc = covers[min(hits)]
-            path = [(mask & now, succ, acc)]
-            back = st
-            while parent[back] is not None:
-                back, edge = parent[back]
-                path.append(edge)
-            return path[::-1]
-        fresh.sort()
-        for i in fresh:
-            mask, succ, acc = covers[i]
-            parent[succ] = (st, (mask & now, succ, acc))
-            queue.append(succ)
+                parent[succ] = (st, (mask & now, succ, acc))
+                queue.append(succ)
     return None
 
 
@@ -652,6 +635,8 @@ def entails(world, premises, conclusion, bound=None, limit=DEFAULT_LIMIT):
     """
     if bound is not None and bound < 0:
         raise LogicError("bound must be 0 or more, got %r" % (bound,))
+    if limit < 0:
+        raise LogicError("limit must be 0 or more, got %r" % (limit,))
     phi = f_and(list(premises) + [f_not(conclusion)])
     budget = Budget(limit)
     compiled = compile_nnf(world, phi)

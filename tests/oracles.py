@@ -6,7 +6,8 @@ found by enumerating subsets, operator terms are run by a recursive
 interpreter, temporal formulas are evaluated on lasso words position by
 position, formulas are compiled and printed by plain recursion, formulas
 and terms are read by recursive descent, tableau products are gathered in
-one flat dict and filtered in a second pass, and automaton emptiness is
+one flat dict and filtered in a second pass, an obligation set's covers
+are folded from its first member every time, and automaton emptiness is
 decided on spelled-out edges.
 """
 
@@ -722,6 +723,24 @@ def oracle_undominated(out):
     if any(slot[j] < j for j in kept):
         kept.sort(key=slot.__getitem__)
     return [covers[j] for j in kept]
+
+
+def oracle_set_covers(tableau, bits):
+    """_Tableau.set_covers as a flat left fold: the members' covers
+    multiplied in key order from the first member on, each product the
+    flat dict less its dominated covers, with no prefix kept. Returns the
+    covers and the budget their products take, charged as _Tableau.product
+    charges; the members' own covers come from the tableau."""
+    members = sorted((i for i in range(bits.bit_length()) if bits >> i & 1),
+                     key=tableau.keys.__getitem__)
+    covers, charge = [(tableau.full, 0, tableau.full, 0)], 0
+    for i in members:
+        right = tableau.bit_covers(i)
+        charge += len(covers) * len(right) if covers and right else 1
+        covers = oracle_undominated(flat_product(tableau, covers, right))
+        if not covers:
+            break
+    return covers, charge
 
 
 # -- automaton emptiness ------------------------------------------------------

@@ -261,6 +261,23 @@ def test_verify_refuses_a_negative_bound(capsys, monkeypatch):
         1, "", "error: bound must be 0 or more, got -1\n")
 
 
+def test_verify_and_check_replace_refuse_a_negative_limit(capsys,
+                                                          monkeypatch):
+    # a negative limit ran out at the first step, as "exploration budget
+    # exceeded (-5)"
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    w = ["--world", corpus_path("drone.wld"),
+         "--actions", corpus_path("drone.act")]
+    refused = (1, "", "error: limit must be 0 or more, got -5\n")
+    assert run(capsys, "verify", corpus_path("z1.ds"), *w,
+               "--spec", corpus_path("spec.ltl"), "--limit", "-5") == refused
+    assert run(capsys, "check-replace", corpus_path("z2.ds"),
+               "--module", "b0,bLow,calm,bHigh,bright,Avoid,Land",
+               "--with", corpus_path("q.ds"), *w, "--limit", "-5") == refused
+    assert run(capsys, "check-replace", "--action", "Descend",
+               "--with-action", "Land", *w, "--limit", "-5") == refused
+
+
 def test_verify_budget_error_names_the_conjunct(capsys):
     code, _, err = run(capsys, "verify", corpus_path("z1.ds"),
                        "--world", corpus_path("drone.wld"),

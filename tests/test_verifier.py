@@ -1,8 +1,10 @@
 """Tableau verifier: entailment, lasso counterexamples, replacement checks."""
 
+import gc
 import hashlib
 import itertools
 import time
+import weakref
 
 import pytest
 
@@ -24,13 +26,13 @@ from decstruct import (
 from decstruct import logic, verifier
 from decstruct.logic import f_and, f_not
 from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
-                                _bfs_edges, _build, _extract_lasso, _group,
-                                _premises, _sccs, compile_nnf)
+                                _bfs_edges, _build, _extract_lasso, _premises,
+                                _sccs, compile_nnf)
 from conftest import structure
 from oracles import (all_lassos, bfs_order, concrete_edges, flat_merge,
                      flat_product, holds_on_lasso, kosaraju_sccs,
-                     oracle_accepting_sccs, oracle_lasso, oracle_undominated,
-                     rand_entailment, replay_world, seeded,
+                     oracle_accepting_sccs, oracle_lasso, oracle_set_covers,
+                     oracle_undominated, rand_entailment, replay_world, seeded,
                      unfiltered_merge, unfiltered_product)
 
 
@@ -173,15 +175,16 @@ def parsed_automaton(world, premises, conclusion):
 
 
 def check_automaton(world, auto):
-    """Compare the successor lists, the state order, the SCC search,
-    acceptance and the lasso with independent checks on the spelled-out
-    edges; return (edges, distinct (state, successor) pairs)."""
+    """Compare the edge lists, the state order, the SCC search, acceptance
+    and the lasso with independent checks on the spelled-out edges; return
+    (edges, distinct (state, successor) pairs)."""
     edges = concrete_edges(auto)
     assert list(auto.succs) == bfs_order(edges, auto.init)
+    for st, out in edges.items():
+        now = auto.states[st][1]
+        assert [(mask & now, succ, acc)
+                for mask, succ, acc in auto.succs[st]] == out, st
     graph = {st: {succ for _, succ, _ in out} for st, out in edges.items()}
-    for st, succs in graph.items():
-        got = [g[0] for g in auto.succs[st]]
-        assert len(got) == len(succs) and set(got) == succs, st
     comps = kosaraju_sccs(graph)
     assert {frozenset(c) for c in _sccs(auto)} == set(comps)
     accepting = _accepting_sccs(auto)
@@ -192,7 +195,7 @@ def check_automaton(world, auto):
         assert (tr.prefix, tr.cycle) == oracle_lasso(
             world, auto.init, edges, want, len(auto.conditions))
     return (sum(len(out) for out in edges.values()),
-            sum(len(g) for g in auto.succs.values()))
+            sum(len(succs) for succs in graph.values()))
 
 
 # (concrete edges, distinct (state, successor) pairs) of the automaton of
@@ -205,10 +208,11 @@ CONJUNCT_EDGES = {
 }
 
 
-# Questions on the 12-state world whose automata have a state that meets
-# a successor first through a later cover than the one that opens its
-# group, so that the groups and the concrete edges list successors in
-# different orders. The first two hold; the others fail.
+# Questions on the 12-state world whose automata have a state whose
+# covers meet a successor first through a cover that misses the state's
+# mask, ahead of its edge to another successor, so that its covers and
+# its edges list successors in different orders. The first two hold; the
+# others fail.
 REORDERED = [
     (["(q | X X p) & (m0 & F (m1 U m2))", "!X (q & m2)"],
      "F (X G m1 | (m0 & m0) U X m2)"),
@@ -224,14 +228,16 @@ REORDERED = [
 
 
 # A failing question whose lasso starts with the first edge, in cover
-# order, into an accepting SCC, which is not the first such edge of the
-# successor groups taken in group order.
+# order, into an accepting SCC, which is not the first such edge when a
+# state's edges are taken successor by successor, each successor where
+# the state's covers first meet it.
 FIRST_GOAL_EDGE = (["X !m1", "G X F F m1", "m0"], "p")
 
 
-# A question whose automaton has an SCC that the accept unions of its
-# successor groups would call accepting, though the edges of its states
-# never discharge every condition: the entailment holds.
+# A question whose automaton has an SCC that would be accepting if the
+# covers of its states that miss their masks counted as edges, though the
+# edges of its states never discharge every condition: the entailment
+# holds.
 UNION_OVERSTATES = (["G X q", "X X m1 | X !!p"],
                     "(F (q & m1) & G G m1) U X X G q")
 
@@ -246,7 +252,7 @@ def test_automaton_matches_checks_on_spelled_out_edges():
     for premises, conclusion in REORDERED:
         auto = parsed_automaton(w, premises, conclusion)
         check_automaton(w, auto)
-        assert any([g[0] for g in auto.succs[st]] !=
+        assert any(first_met(auto, st) !=
                    list(dict.fromkeys(succ for _, succ, _ in out))
                    for st, out in concrete_edges(auto).items())
     check_automaton(w, parsed_automaton(w, *FIRST_GOAL_EDGE))
@@ -256,11 +262,20 @@ def test_automaton_matches_checks_on_spelled_out_edges():
     for comp in _sccs(auto):
         union = 0
         for st in comp:
-            for succ, _, acc, _ in auto.succs[st]:
+            for _, succ, acc in auto.steps[auto.states[st][0]]:
                 if succ in comp:
                     union |= acc
         unions.append(union)
     assert auto.all_bits in unions and not _accepting_sccs(auto)
+
+
+def first_met(auto, st):
+    """The successors of state st in the order its covers first meet
+    them, masks aside."""
+    bits, now = auto.states[st]
+    reached = {succ for mask, succ, _ in auto.steps[bits] if mask & now}
+    return [succ for succ in dict.fromkeys(c[1] for c in auto.steps[bits])
+            if succ in reached]
 
 
 def keeping_every_cover(monkeypatch, *question):
@@ -280,7 +295,7 @@ def observables(world, auto):
     accepting = _accepting_sccs(auto)
     tr = accepting and _extract_lasso(world, auto, accepting)
     return (not accepting, [name(st) for st in auto.succs],
-            {name(st): {name(g[0]) for g in out}
+            {name(st): {name(succ) for _, succ, _ in out}
              for st, out in auto.succs.items()},
             {frozenset(map(name, c)) for c in _sccs(auto)},
             {frozenset(map(name, c)) for c in accepting},
@@ -313,19 +328,59 @@ def checking_products(monkeypatch):
     return calls
 
 
+def key_order_heads(tableau, bits):
+    """The bits of each key-order prefix of the members of `bits`,
+    shortest first."""
+    heads, head = [], 0
+    for i in sorted((i for i in range(bits.bit_length()) if bits >> i & 1),
+                    key=tableau.keys.__getitem__):
+        head |= 1 << i
+        heads.append(head)
+    return heads
+
+
+def checking_set_covers(monkeypatch):
+    """Make every _Tableau.set_covers assert that its covers equal the flat
+    fold of oracle_set_covers, order included, and that it spends what
+    the fold's products take; return the counts [calls, calls that start
+    from a kept prefix]."""
+    calls = [0, 0]
+    real = verifier._Tableau.set_covers
+
+    def set_covers(tableau, bits):
+        # The fold runs first, so that it gets each member's covers, and
+        # pays for them, where the call itself would; the call then pays
+        # for its products alone.
+        want, charge = oracle_set_covers(tableau, bits)
+        hit = any(head in tableau.prefixes
+                  for head in key_order_heads(tableau, bits))
+        used = tableau.budget.used
+        covers = real(tableau, bits)
+        assert covers == want
+        assert tableau.budget.used - used == charge
+        calls[0] += 1
+        calls[1] += hit
+        return covers
+
+    monkeypatch.setattr(verifier._Tableau, "set_covers", set_covers)
+    return calls
+
+
 def test_corpus_automata_match_checks_on_spelled_out_edges(
         monkeypatch, world, specs, spec_formula):
     """Each conjunct's automaton passes the spelled-out checks, and shows
     the same observables as the one built keeping dominated covers. Every
-    product and merge of its build matches the flat filter."""
+    product and merge of its build matches the flat filter, and every
+    obligation set's covers the flat fold."""
     assert spec_formula[0] == "and"
     for (name, i), counts in CONJUNCT_EDGES.items():
         question = (world, _premises(structure(name), world, specs),
                     spec_formula[1][i])
         with monkeypatch.context() as patch:
             calls = checking_products(patch)
+            sets = checking_set_covers(patch)
             auto = automaton(*question)
-        assert calls[1] > 0, (name, i)
+        assert calls[1] > 0 and sets[1] > 0, (name, i)
         assert check_automaton(world, auto) == counts, (name, i)
         assert observables(world, auto) == observables(
             world, keeping_every_cover(monkeypatch, *question)), (name, i)
@@ -335,16 +390,19 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
     """product and merge drop dominated covers as they gather them; each
     result equals the flat dict filtered in a second pass, list order
     included, on random questions and on hand-built groups that take the
-    general path."""
+    general path. On the random questions each obligation set's covers,
+    kept prefix or not, also equal the flat fold."""
     calls = checking_products(monkeypatch)
+    sets = checking_set_covers(monkeypatch)
     w, atoms = replay_world()
     rng = seeded(606)
     for _ in range(300):
         automaton(w, *rand_entailment(rng, atoms))
     rng = seeded(606)
-    for _ in range(200):
+    for _ in range(400):
         automaton(w, *rand_entailment(rng, atoms, depth=5))
     assert calls[0] > 15_000 and calls[1] > 500
+    assert sets[0] > 7_000 and sets[1] > 4_000
     general = []
     real = verifier._undominated
     monkeypatch.setattr(verifier, "_undominated",
@@ -377,6 +435,99 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
         tableau.product(covers, [(full, 0, full, 0)])
         tableau.product([(0b101, 4, full, 1)], covers)
     assert len(general) > 2000
+
+
+def test_set_covers_keep_only_prefixes_two_sets_share(monkeypatch):
+    """A key-order prefix that one obligation set alone has is never kept,
+    and the prefixes that are kept make up a small part of all asked for."""
+    asked = {}  # tableau -> prefix bits -> sets that have that prefix
+    real = verifier._Tableau.set_covers
+
+    def set_covers(tableau, bits):
+        counts = asked.setdefault(tableau, {})
+        for head in key_order_heads(tableau, bits):
+            counts[head] = counts.get(head, 0) + 1
+        return real(tableau, bits)
+
+    monkeypatch.setattr(verifier._Tableau, "set_covers", set_covers)
+    w, atoms = replay_world()
+    rng = seeded(606)
+    for _ in range(200):
+        automaton(w, *rand_entailment(rng, atoms, depth=5))
+    once = kept = 0
+    for tableau, counts in asked.items():
+        for head in tableau.prefixes:
+            assert counts[head] >= 2
+        once += sum(n == 1 for n in counts.values())
+        kept += len(tableau.prefixes)
+    assert kept > 500 and once > kept
+
+
+def test_a_limit_inside_a_kept_prefix_runs_out_there(monkeypatch):
+    """A set that starts from a kept prefix spends the prefix's budget at
+    once, so a limit that falls inside it runs out in that call."""
+    real = verifier._Tableau.set_covers
+    calls = []  # (budget used before each call, budget of its kept prefix)
+
+    def recording(tableau, bits):
+        kept = [tableau.prefixes[head][1]
+                for head in key_order_heads(tableau, bits)
+                if head in tableau.prefixes]
+        calls.append((tableau.budget.used, kept[-1] if kept else 0))
+        return real(tableau, bits)
+
+    w, atoms = replay_world()
+    rng = seeded(606)
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier._Tableau, "set_covers", recording)
+        for _ in range(200):
+            calls.clear()
+            question = rand_entailment(rng, atoms, depth=5)
+            total = entails(w, *question).stats["budget_used"]
+            if any(charge > 1 for _, charge in calls):
+                break
+    hits = [c for c in calls if c[1] > 1]
+    assert hits
+    used, charge = hits[0]
+    assert entails(w, *question, limit=total).stats["budget_used"] == total
+    raised = []
+
+    def watching(tableau, bits):
+        before = tableau.budget.used
+        try:
+            return real(tableau, bits)
+        except ResourceLimit:
+            raised.append((before, tableau.budget.used))
+            raise
+
+    monkeypatch.setattr(verifier._Tableau, "set_covers", watching)
+    with pytest.raises(ResourceLimit):
+        entails(w, *question, limit=used + charge - 1)
+    assert raised == [(used, used + charge)]
+
+
+def test_no_prefix_memo_outlives_its_tableau(monkeypatch):
+    refs, sizes = [], []
+
+    class Recorded(verifier._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert not self.prefixes and not self.asked
+            refs.append(weakref.ref(self))
+
+        def set_covers(self, bits):
+            covers = super().set_covers(bits)
+            sizes.append(len(self.prefixes))
+            return covers
+
+    monkeypatch.setattr(verifier, "_Tableau", Recorded)
+    w, atoms = replay_world()
+    rng = seeded(606)
+    for _ in range(20):
+        entails(w, *rand_entailment(rng, atoms, depth=5))
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+    assert len(refs) == 20 and max(sizes) > 0
 
 
 # Questions on the 12-state world whose states are queued in another
@@ -473,9 +624,9 @@ def test_bfs_edges_takes_new_states_in_cover_order():
     succs = {}
     for st in (0, 2, 1, 3):
         bits, now = states[st]
-        succs[st] = [g for g in _group(steps[bits]) if g[1] & now]
-    assert [g[0] for g in succs[0]] == [1, 2]
+        succs[st] = [c for c in steps[bits] if c[0] & now]
     auto = _Automaton(states, succs, steps, ["c"], set())
+    assert first_met(auto, 0) == [1, 2]
     assert _bfs_edges(auto, 0, lambda succ, acc: succ == 3) == \
         [(0b10, 2, 0), (0b11, 3, 0)]
     check_automaton(w, auto)
@@ -569,6 +720,16 @@ def test_entails_and_verify_refuse_a_negative_bound(world, specs,
         entails(w2(), [parse_ltl("p")], parse_ltl("q"), bound=-1)
     with pytest.raises(LogicError, match="got -3"):
         verify(structure("z1"), world, specs, spec_formula, bound=-3)
+
+
+def test_entails_refuses_a_negative_limit():
+    # a negative limit ran out at the first step, as a budget error
+    with pytest.raises(LogicError, match=r"^limit must be 0 or more, got -5$"):
+        entails(w2(), [parse_ltl("p")], parse_ltl("q"), limit=-5)
+    # a limit of 0 is a budget that runs out at the first step
+    with pytest.raises(ResourceLimit, match=r"^exploration budget exceeded "
+                       r"\(0\)$"):
+        entails(w2(), [parse_ltl("p")], parse_ltl("q"), limit=0)
 
 
 def test_compile_nnf_masks_propositional_subformulas():
