@@ -100,12 +100,19 @@ def _fmt_modules(mods):
     return ["{%s}" % ",".join(sorted(m)) for m in mods]
 
 
+def _dot_string(text):
+    """text as a DOT quoted string, with backslash and double quote
+    escaped by a backslash."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(z, decomposition=None):
     lines = ["digraph decstruct {", "  rankdir=TB;"]
+    q = _dot_string
 
     def node_line(v, indent="  "):
         shape = ' peripheries=2' if v == z.source else ""
-        return '%s"%s" [label="%s"%s];' % (indent, v, z.action_of[v], shape)
+        return '%s%s [label=%s%s];' % (indent, q(v), q(z.action_of[v]), shape)
 
     if decomposition is None:
         for v, _ in z.nodes:
@@ -122,11 +129,11 @@ def export_dot(z, decomposition=None):
             else:
                 clusters += 1
                 lines.append('%ssubgraph cluster_%d {' % (indent, clusters))
-                lines.append('%s  label="%s";' % (indent, d.tag))
+                lines.append('%s  label=%s;' % (indent, q(d.tag)))
                 stack.append((None, indent))
                 stack.extend((c, indent + "  ") for c in reversed(d.children))
     for t, h, r in z.arcs:
-        lines.append('  "%s" -> "%s" [label="%s"];' % (t, h, r))
+        lines.append('  %s -> %s [label=%s];' % (q(t), q(h), q(r)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -302,9 +309,9 @@ def cmd_check_replace(args):
                                           args.with_action, limit=args.limit)
         subject = "action %s -> %s" % (args.action, args.with_action)
     else:
-        if not (args.module and args.with_structure):
-            raise FormatError("need --action/--with-action or "
-                              "--module/--with")
+        if not (args.structure and args.module and args.with_structure):
+            raise FormatError("need --action/--with-action, or a structure "
+                              "with --module/--with")
         z = load_structure(args.structure)
         q = load_structure(args.with_structure)
         members = _module_set(args.module)
@@ -466,6 +473,10 @@ def main(argv=None):
         return 1
     except RecursionError:
         print(_bad("error: input nested too deeply"), file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(_bad("error: input is not UTF-8 text (%s)" % exc.reason),
+              file=sys.stderr)
         return 1
 
 

@@ -20,13 +20,13 @@ product of its members' covers in key order, and the tableau keeps the
 product of every member prefix that a second set asks for, so the sets
 that share that prefix start from it.
 
-Every product and merge of covers drops each cover that another one
-dominates: one with the same successor, a state mask that holds its
-own and no more postponed untils (see _Tableau). It does so in the dict
-that gathers the product, with no second pass over the covers. The
-automaton keeps its language, states and SCCs, and in every case tested
-its state order and lassos; the corpus products take half the cover
-pairs they took.
+Products and unions of covers share one gathering loop, a union being
+the product with the unit cover, and it drops each cover that another
+dominates: one with the same successor, a state mask that holds its own
+and no more postponed untils (see _Tableau). It does so in the dict that
+gathers the covers, with no second pass over them. The automaton keeps
+its language, states and SCCs, and in every case tested its state order
+and lassos; the corpus products take half the cover pairs they took.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
@@ -143,7 +143,7 @@ def _key(g, parts):
 
 
 def _covers(out, side):
-    """The covers that product or merge gathered, less the dominated ones
+    """The covers that _Tableau.gather collected, less the dominated ones
     (see _Tableau). `out` maps (next bits, next mask) to [state mask,
     pending] of the first cover with that pair, and `side` maps (next
     bits, next mask, pending) to [state mask, slot] of each later one,
@@ -226,13 +226,15 @@ class _Tableau:
     moved the state order of a few; the test suite compares both builds.
     No single order can promise it for every state mask.
 
-    The dict that gathers a product holds the first cover of each (next
-    bits, next mask), and sets each later one with other pending bits
-    aside with its slot, the number of distinct covers before it. Mostly
-    a pair has at most one later cover and one of the two dominates the
-    other: the one that stays then takes the first's slot (_settle), and
-    no cover is looked at again. Otherwise the covers are laid out in
-    their slots and filtered by _undominated.
+    One loop, gather, collects the covers of every product and merge; a
+    merge is the product with the unit cover, and spends no budget. Its
+    dict holds the first cover of each (next bits, next mask), and sets
+    each later one with other pending bits aside with its slot, the number
+    of distinct covers before it. Mostly a pair has at most one later
+    cover and one of the two dominates the other: the one that stays then
+    takes the first's slot (_settle), and no cover is looked at again.
+    Otherwise the covers are laid out in their slots and filtered by
+    _undominated.
 
     set_covers multiplies a set's members in key order, so sets share the
     partial products of their common key-order prefixes. `prefixes` maps
@@ -292,30 +294,14 @@ class _Tableau:
         return bits & ~drop
 
     def merge(self, covers):
-        normed = self.normed
-        out, side = {}, {}
-        for mask, bits, nmask, pending in covers:
-            if nmask:
-                nb = normed.get(bits)
-                if nb is None:
-                    nb = normed[bits] = self.norm(bits)
-                key = (nb, nmask)
-                got = out.get(key)
-                if got is None:
-                    out[key] = [mask, pending]
-                elif got[1] == pending:
-                    got[0] |= mask
-                else:
-                    key += (pending,)
-                    got = side.get(key)
-                    if got is None:
-                        side[key] = [mask, len(out) + len(side)]
-                    else:
-                        got[0] |= mask
-        return _covers(out, side)
+        return self.gather(covers, [(self.full, 0, self.full, 0)])
 
     def product(self, left, right):
         self.budget.spend(len(left) * len(right) if left and right else 1)
+        return self.gather(left, right)
+
+    def gather(self, left, right):
+        """The product of `left` and `right`, charging nothing."""
         normed, norm = self.normed, self.norm
         out, side = {}, {}
         get = out.get
@@ -367,8 +353,9 @@ class _Tableau:
                 covers.extend(self.formula_covers(p))
             covers = self.merge(covers)
         elif op == "next":
-            # An absurd next mask is dropped by merge or product, which
-            # also charge the budget for it.
+            # An absurd next mask is dropped by the merge or product that
+            # takes this cover; a product charges the budget for it, and
+            # a merge does not.
             g = f[1]
             if g[0] == "mask":
                 covers = [(full, 0, g[1], 0)]

@@ -4,6 +4,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import decstruct
 from decstruct import (DecisionStructure, Leaf, Op, construct_kbt, decompose,
-                       format_structure, parse_structure,
+                       format_structure, load_structure, parse_structure,
                        structurally_equivalent)
 from decstruct.cli import _json_chunks, main
 from conftest import CORPUS, corpus_path, structure
@@ -318,6 +319,31 @@ def test_check_replace_needs_arguments(capsys):
     assert "error:" in err
 
 
+def test_check_replace_module_needs_a_structure(capsys, monkeypatch):
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    assert run(capsys, "check-replace", "--module", "b0,bLow",
+               "--with", corpus_path("q.ds"),
+               "--world", corpus_path("drone.wld"),
+               "--actions", corpus_path("drone.act")) == (
+        1, "", "error: need --action/--with-action, or a structure with "
+        "--module/--with\n")
+
+
+def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # every reader decodes UTF-8; any other input is one error line
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("decstruct v1\nnode caf\xe9 a\n".encode("latin-1"))
+    refused = (1, "", "error: input is not UTF-8 text (invalid continuation "
+               "byte)\n")
+    assert run(capsys, "validate", str(bad)) == refused
+    assert run(capsys, "verify", corpus_path("z1.ds"),
+               "--world", corpus_path("drone.wld"),
+               "--actions", corpus_path("drone.act"),
+               "--spec", str(bad)) == refused
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", corpus_path("bt_example.ds"))
     assert code == 0
@@ -332,6 +358,58 @@ def test_export_dot_with_clusters(capsys):
     assert code == 0
     assert "subgraph cluster_1 {" in out
     assert 'label="path[f]"' in out
+
+
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+DOT_LINE = re.compile(r"\s*(?:(?P<node>{q}) \[label=(?P<action>{q})"
+                      r"(?: peripheries=2)?\];|(?P<tail>{q}) -> (?P<head>{q})"
+                      r" \[label=(?P<label>{q})\];|label=(?P<tag>{q});|"
+                      r"subgraph cluster_\d+ \{{|\}}|digraph decstruct \{{|"
+                      r"rankdir=TB;)".format(q=DOT_STRING))
+
+
+def dot_unquote(text):
+    return re.sub(r"\\(.)", r"\1", text[1:-1])
+
+
+def preorder(tree):
+    stack = [tree]
+    while stack:
+        d = stack.pop()
+        yield d
+        if not d.is_leaf():
+            stack.extend(reversed(d.children))
+
+
+def test_export_dot_quotes_every_field(tmp_path, capsys):
+    # each id, action and label is one DOT string whose escapes give back
+    # the original, with and without clusters
+    path = tmp_path / "odd.ds"
+    path.write_text('decstruct v1\nnode a"b \\A"\nnode c\\ C\nnode d" D\\\n'
+                    'arc a"b c\\ "s\\\narc a"b d" f\\"\narc c\\ d" s\\\n')
+    z = load_structure(str(path))
+    for flag in ([], ["--decomposition"]):
+        code, out, _ = run(capsys, "export-dot", str(path), *flag)
+        assert code == 0
+        nodes, arcs, tags = [], [], []
+        for line in out.splitlines():
+            got = DOT_LINE.fullmatch(line)
+            assert got, line
+            field = {k: dot_unquote(v)
+                     for k, v in got.groupdict().items() if v}
+            if "node" in field:
+                nodes.append((field["node"], field["action"]))
+            elif "tail" in field:
+                arcs.append((field["tail"], field["head"], field["label"]))
+            elif "tag" in field:
+                tags.append(field["tag"])
+        assert sorted(nodes) == sorted(z.nodes)
+        assert arcs == list(z.arcs)
+        if flag:
+            assert tags and tags == [
+                d.tag for d in preorder(decompose(z)) if not d.is_leaf()]
+        else:
+            assert not tags
 
 
 def test_export_fsm(capsys):

@@ -430,9 +430,13 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
         groups.append([(rng.randrange(1, 8), rng.randrange(2),
                         rng.choice((full, 5)), rng.randrange(4))
                        for _ in range(rng.randrange(1, 7))])
+    # a merge is the product with the unit cover, and charges nothing
     for covers in groups:
-        tableau.merge(covers)
-        tableau.product(covers, [(full, 0, full, 0)])
+        used = tableau.budget.used
+        merged = tableau.merge(covers)
+        assert tableau.budget.used == used
+        assert merged == tableau.product(covers, [(full, 0, full, 0)])
+        assert tableau.budget.used == used + len(covers)
         tableau.product([(0b101, 4, full, 1)], covers)
     assert len(general) > 2000
 
