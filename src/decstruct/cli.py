@@ -16,7 +16,7 @@ from .logic import (LogicError, format_formula, load_actions, load_world,
 from .modules import (decompose, expand, contract, find_modules,
                       nontrivial_modules)
 from .structures import (StructureError, FormatError, format_structure,
-                         load_structure)
+                         load_structure, read_text, text_lines)
 from .verifier import (DEFAULT_LIMIT, ResourceLimit, check_action_replacement,
                        check_module_replacement, export_obligation, verify)
 
@@ -152,15 +152,8 @@ def _decomp_text(tree):
 
 
 def _load_ltl_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        body = " ".join(line.split("#", 1)[0] for line in fh)
-    return parse_ltl(body)
-
-
-def _verification_inputs(args):
-    world = load_world(args.world)
-    specs = load_actions(args.actions)
-    return world, specs
+    text = read_text(path)
+    return parse_ltl("\n".join(code for _, _, code in text_lines(text)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -176,8 +169,7 @@ def cmd_validate(args):
 
 
 def cmd_construct(args):
-    with open(args.term, "r", encoding="utf-8") as fh:
-        term = parse_arch(fh.read())
+    term = parse_arch(read_text(args.term))
     if isinstance(term, list):
         z = construct_tr(term)
     elif isinstance(term, Pred):
@@ -280,7 +272,8 @@ def cmd_expand(args):
 
 def cmd_verify(args):
     z = load_structure(args.structure)
-    world, specs = _verification_inputs(args)
+    world = load_world(args.world)
+    specs = load_actions(args.actions)
     phi = _load_ltl_file(args.spec)
     verdict = verify(z, world, specs, phi, bound=args.bound,
                      limit=args.limit)
@@ -301,7 +294,12 @@ def cmd_verify(args):
 
 
 def cmd_check_replace(args):
-    world, specs = _verification_inputs(args)
+    world = load_world(args.world)
+    specs = load_actions(args.actions)
+    if (args.action or args.with_action) and (
+            args.structure or args.module or args.with_structure):
+        raise FormatError("--action/--with-action cannot be combined with "
+                          "a structure, --module or --with")
     if args.action:
         if not args.with_action:
             raise FormatError("--action needs --with-action")
@@ -360,7 +358,8 @@ def cmd_export_fsm(args):
 
 def cmd_export_obligation(args):
     z = load_structure(args.structure)
-    world, specs = _verification_inputs(args)
+    world = load_world(args.world)
+    specs = load_actions(args.actions)
     phi = _load_ltl_file(args.spec)
     sys.stdout.write(export_obligation(z, world, specs, phi))
     return 0
@@ -380,64 +379,59 @@ def build_parser():
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS)
 
+    verifying = argparse.ArgumentParser(add_help=False, parents=[common])
+    verifying.add_argument("--world", required=True)
+    verifying.add_argument("--actions", required=True)
+
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+        kwargs.setdefault("parents", [common])
+        p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
+        if name != "construct":  # the one subcommand without a structure
+            p.add_argument("structure",
+                           nargs="?" if name == "check-replace" else None)
         return p
 
-    p = add("validate", cmd_validate, help="check a structure file")
-    p.add_argument("structure")
+    add("validate", cmd_validate, help="check a structure file")
 
     p = add("construct", cmd_construct,
             help="build the structure of an architecture term")
     p.add_argument("term")
 
-    p = add("extract", cmd_extract,
-            help="recover an operator tree from a structure")
-    p.add_argument("structure")
+    add("extract", cmd_extract,
+        help="recover an operator tree from a structure")
 
     p = add("modules", cmd_modules, help="list modules")
-    p.add_argument("structure")
     p.add_argument("--trivial", action="store_true",
                    help="include singletons and the full node set")
 
-    p = add("decompose", cmd_decompose, help="modular decomposition tree")
-    p.add_argument("structure")
+    add("decompose", cmd_decompose, help="modular decomposition tree")
 
-    p = add("complexity", cmd_complexity,
-            help="cyclomatic and essential complexity")
-    p.add_argument("structure")
+    add("complexity", cmd_complexity,
+        help="cyclomatic and essential complexity")
 
     p = add("classify", cmd_classify,
             help="which architectures express the structure")
-    p.add_argument("structure")
     p.add_argument("--all-labelings", action="store_true",
                    help="sweep every s/f arc labeling")
 
     p = add("contract", cmd_contract, help="collapse a module to one node")
-    p.add_argument("structure")
     p.add_argument("--module", required=True,
                    help="comma-separated node ids")
 
     p = add("expand", cmd_expand, help="replace a node by a structure")
-    p.add_argument("structure")
     p.add_argument("--node", required=True)
     p.add_argument("--with", dest="with_structure", required=True,
                    metavar="STRUCTURE")
 
-    p = add("verify", cmd_verify, help="model-check a structure in a world")
-    p.add_argument("structure")
-    p.add_argument("--world", required=True)
-    p.add_argument("--actions", required=True)
+    p = add("verify", cmd_verify, parents=[verifying],
+            help="model-check a structure in a world")
     p.add_argument("--spec", required=True)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
-    p = add("check-replace", cmd_check_replace,
+    p = add("check-replace", cmd_check_replace, parents=[verifying],
             help="check an action or module replacement")
-    p.add_argument("structure", nargs="?")
-    p.add_argument("--world", required=True)
-    p.add_argument("--actions", required=True)
     p.add_argument("--action")
     p.add_argument("--with-action", dest="with_action")
     p.add_argument("--module")
@@ -445,18 +439,13 @@ def build_parser():
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     p = add("export-dot", cmd_export_dot, help="graphviz view")
-    p.add_argument("structure")
     p.add_argument("--decomposition", action="store_true",
                    help="nest nodes into decomposition clusters")
 
-    p = add("export-fsm", cmd_export_fsm, help="finite state machine view")
-    p.add_argument("structure")
+    add("export-fsm", cmd_export_fsm, help="finite state machine view")
 
-    p = add("export-obligation", cmd_export_obligation,
+    p = add("export-obligation", cmd_export_obligation, parents=[verifying],
             help="print the verification proof obligation")
-    p.add_argument("structure")
-    p.add_argument("--world", required=True)
-    p.add_argument("--actions", required=True)
     p.add_argument("--spec", required=True)
 
     return top
@@ -467,16 +456,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (StructureError, LogicError, FormatError, ArchError,
-            ResourceLimit, OSError) as exc:
+    except (StructureError, LogicError, FormatError, ResourceLimit,
+            OSError) as exc:
         print(_bad("error: %s" % exc), file=sys.stderr)
         return 1
     except RecursionError:
         print(_bad("error: input nested too deeply"), file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(_bad("error: input is not UTF-8 text (%s)" % exc.reason),
-              file=sys.stderr)
         return 1
 
 

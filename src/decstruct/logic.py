@@ -26,7 +26,7 @@ explicit stack.
 import math
 import re
 
-from .structures import FormatError
+from .structures import FormatError, read_text, text_lines
 
 
 class LogicError(ValueError):
@@ -268,11 +268,10 @@ def _mk_junction(world, op, parts):
     return rest[0] if len(rest) == 1 else (op, tuple(rest))
 
 
-def compile_nnf(world, f, neg=False):
-    """Negation normal form of f, or with neg of its negation, with
-    propositional parts collapsed to masks: leaves become masks, and each
-    junction merges its parts' masks. Each subformula folds to the pair
-    (positive, negative)."""
+def compile_nnf(world, f):
+    """Negation normal form of f, with propositional parts collapsed to
+    masks: leaves become masks, and each junction merges its parts'
+    masks. Each subformula folds to the pair (positive, negative)."""
     full = world.full_mask
     top, bot = ("mask", full), ("mask", 0)
 
@@ -306,7 +305,7 @@ def compile_nnf(world, f, neg=False):
             raise LogicError("ungrounded return atom ret(%s, %s)" % g[1:])
         raise LogicError("cannot compile %r" % (g,))
 
-    return fold(f, rule)[1 if neg else 0]
+    return fold(f, rule)[0]
 
 
 # -- worlds ----------------------------------------------------------------
@@ -457,8 +456,8 @@ class World:
 
 def parse_world(text):
     variables, rules, init = [], [], None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw, line in text_lines(text):
+        line = line.strip()
         if not line:
             continue
         m = re.fullmatch(r"var\s+(\w+)\s*\{([^}]*)\}", line)
@@ -491,8 +490,7 @@ def parse_world(text):
 
 
 def load_world(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_world(fh.read())
+    return parse_world(read_text(path))
 
 
 # -- action specifications ---------------------------------------------------
@@ -510,10 +508,7 @@ class ActionSpec:
 
 
 def parse_actions(text):
-    clean = []
-    for raw in text.splitlines():
-        clean.append(raw.split("#", 1)[0])
-    text = "\n".join(clean)
+    text = "\n".join(code for _, _, code in text_lines(text))
     specs = {}
     pos = 0
     block = re.compile(r"\s*action\s+(\w+)\s*\{([^}]*)\}", re.S)
@@ -550,8 +545,7 @@ def parse_actions(text):
 
 
 def load_actions(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_actions(fh.read())
+    return parse_actions(read_text(path))
 
 
 def validate_actions(world, specs):

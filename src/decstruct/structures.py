@@ -49,7 +49,25 @@ class ParallelArcs(StructureError):
 
 
 class FormatError(ValueError):
-    """Malformed structure file."""
+    """Malformed input file."""
+
+
+def read_text(path):
+    """The text of the file at path: UTF-8, with or without a leading
+    byte-order mark. Any other encoding raises FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("input is not UTF-8 text (%s)" % exc.reason)
+
+
+def text_lines(text):
+    """(number from 1, line, line before its first `#`) for each line of
+    text: the comment rule of the structure, world, action and spec
+    formats."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        yield lineno, raw, raw.split("#", 1)[0]
 
 
 def _toposort(nodes, out):
@@ -248,11 +266,10 @@ def parse_structure(text):
     Lines: header, then `node <id> <action>` and `arc <tail> <head> <label>`;
     `#` comments and blank lines ignored.
     """
-    lines = text.splitlines()
     nodes, arcs = [], []
     saw_header = False
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw, line in text_lines(text):
+        line = line.strip()
         if not line:
             continue
         if not saw_header:
@@ -282,5 +299,4 @@ def format_structure(z):
 
 
 def load_structure(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+    return parse_structure(read_text(path))

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from decstruct import load_actions, load_structure, load_world, parse_ltl
+from decstruct import load_actions, load_structure, load_world
+from decstruct.cli import _load_ltl_file
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -30,6 +31,4 @@ def specs():
 
 @pytest.fixture(scope="session")
 def spec_formula():
-    with open(corpus_path("spec.ltl")) as fh:
-        text = " ".join(line.split("#")[0] for line in fh)
-    return parse_ltl(text)
+    return _load_ltl_file(corpus_path("spec.ltl"))

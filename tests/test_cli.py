@@ -329,6 +329,23 @@ def test_check_replace_module_needs_a_structure(capsys, monkeypatch):
         "--module/--with\n")
 
 
+def test_check_replace_refuses_both_modes_at_once(capsys, monkeypatch):
+    # --action/--with-action ignored the structure, --module and --with:
+    # the first command printed "replaceable" without looking for nosuch
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    w = ["--world", corpus_path("drone.wld"),
+         "--actions", corpus_path("drone.act")]
+    refused = (1, "", "error: --action/--with-action cannot be combined "
+               "with a structure, --module or --with\n")
+    assert run(capsys, "check-replace", corpus_path("z2.ds"),
+               "--module", "nosuch", "--with", corpus_path("q.ds"),
+               "--action", "Ascend", "--with-action", "Ascend", *w) == refused
+    assert run(capsys, "check-replace", corpus_path("z2.ds"),
+               "--with-action", "Land", *w) == refused
+    assert run(capsys, "check-replace", "--module", "b0",
+               "--action", "Ascend", "--with-action", "Ascend", *w) == refused
+
+
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys,
                                                    monkeypatch):
     # every reader decodes UTF-8; any other input is one error line
@@ -342,6 +359,33 @@ def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys,
                "--world", corpus_path("drone.wld"),
                "--actions", corpus_path("drone.act"),
                "--spec", str(bad)) == refused
+
+
+def test_inputs_read_the_same_with_a_byte_order_mark(tmp_path, capsys,
+                                                     monkeypatch):
+    # a UTF-8 file may start with a byte-order mark; every reader drops it
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    term = tmp_path / "term.arch"
+    term.write_text("(seq a (fb b c))\n")
+    plain = {"structure": corpus_path("q.ds"),
+             "world": corpus_path("drone.wld"),
+             "actions": corpus_path("drone.act"),
+             "spec": corpus_path("spec.ltl"), "term": str(term)}
+
+    def runs(paths):
+        return [run(capsys, "validate", paths["structure"]),
+                run(capsys, "verify", paths["structure"],
+                    "--world", paths["world"], "--actions", paths["actions"],
+                    "--spec", paths["spec"]),
+                run(capsys, "construct", paths["term"])]
+
+    expected = runs(plain)
+    assert [code for code, _, _ in expected] == [0, 1, 0]
+    for kind, path in plain.items():
+        marked = tmp_path / ("bom-" + os.path.basename(path))
+        with open(path, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert runs({**plain, kind: str(marked)}) == expected, kind
 
 
 def test_export_dot(capsys):
@@ -430,13 +474,25 @@ def test_export_obligation(capsys):
 
 
 def test_color_env(capsys, monkeypatch):
+    def verify(name):
+        return run(capsys, "verify", corpus_path(name),
+                   "--world", corpus_path("drone.wld"),
+                   "--actions", corpus_path("drone.act"),
+                   "--spec", corpus_path("spec.ltl"))
+
     monkeypatch.setenv("DECSTRUCT_COLOR", "1")
-    code, out, _ = run(capsys, "verify", corpus_path("z2.ds"),
-                       "--world", corpus_path("drone.wld"),
-                       "--actions", corpus_path("drone.act"),
-                       "--spec", corpus_path("spec.ltl"))
-    assert code == 0
-    assert "\x1b[32m" in out
+    code, out, err = verify("z1.ds")
+    assert (code, err) == (1, "")
+    assert out.startswith("\x1b[31mfails\x1b[0m: ")
+    assert verify("z2.ds") == (0, "\x1b[32mholds\x1b[0m\n", "")
+    code, out, err = run(capsys, "validate", "/nonexistent/z.ds")
+    assert (code, out) == (1, "")
+    assert err.startswith("\x1b[31merror: ") and err.endswith("\x1b[0m\n")
+    monkeypatch.delenv("DECSTRUCT_COLOR")
+    outputs = [verify("z1.ds"), verify("z2.ds"),
+               run(capsys, "validate", "/nonexistent/z.ds")]
+    assert [code for code, _, _ in outputs] == [1, 0, 1]
+    assert not any("\x1b" in out + err for _, out, err in outputs)
 
 
 def test_construct_reads_a_deep_term(tmp_path, capsys):
@@ -488,6 +544,20 @@ def verify_spec(capsys, tmp_path, args, text):
     spec = tmp_path / "spec.ltl"
     spec.write_text(text + "\n")
     return run(capsys, *args, "--spec", str(spec))
+
+
+def test_a_spec_comment_ends_at_any_line_break(tmp_path, capsys):
+    # spec files end a line, and so a `#` comment, where str.splitlines
+    # does, as the structure, world and action formats do: at \f and
+    # \u2028 as well as at \n
+    args = small_world(tmp_path, 1)
+    spec = tmp_path / "spec.ltl"
+    results = []
+    for brk in ("\n", "\f", "\u2028"):
+        spec.write_bytes(("(a1 | !a1) # c%s& X false\n" % brk).encode())
+        results.append(run(capsys, *args, "--spec", str(spec)))
+    assert results[0][0] == 1
+    assert results == [results[0]] * 3
 
 
 def test_verify_decides_a_deep_next_chain(tmp_path, capsys):

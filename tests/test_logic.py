@@ -353,9 +353,9 @@ def test_compile_format_and_mask_match_the_recursive_oracles():
         ops = set()
         fold(f, lambda g, _: ops.add(g[0]))
         seen |= ops
-        for neg in (False, True):
-            assert compile_nnf(world, f, neg) == \
-                oracle_compile_nnf(world, f, neg), (f, neg)
+        assert compile_nnf(world, f) == oracle_compile_nnf(world, f), f
+        assert compile_nnf(world, ("not", f)) == \
+            oracle_compile_nnf(world, f, True), f
         assert format_formula(f) == oracle_format_formula(f), f
         if ops & {"next", "until", "eventually", "always"}:
             with pytest.raises(LogicError, match="not a propositional"):
@@ -428,7 +428,7 @@ def test_formula_walks_take_deep_formulas_without_recursion():
         g = ground(f, specs)
         w.check_atoms(g)
         out = [spine(g), spine(compile_nnf(w, g)),
-               spine(compile_nnf(w, g, True)), format_formula(f)]
+               spine(compile_nnf(w, ("not", g))), format_formula(f)]
         try:
             w.check_atoms(ground(f, {"A": ActionSpec(
                 "A", returns={"s": ("atom", "r")})}))

@@ -15,6 +15,9 @@ from decstruct import (
     StructureError,
     derived_return,
     format_structure,
+    load_actions,
+    load_structure,
+    load_world,
     parse_structure,
     select,
     structurally_equivalent,
@@ -171,6 +174,16 @@ def test_parse_format_roundtrip_with_comments():
     z = parse_structure(text)
     assert z.action_of == {"a": "check", "b": "stop"}
     assert parse_structure(format_structure(z)) == z
+
+
+def test_loaders_refuse_text_that_is_not_utf8(tmp_path):
+    # they raised UnicodeDecodeError, which no caller expects
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("decstruct v1\nnode caf\xe9 a\n".encode("latin-1"))
+    for load in (load_structure, load_world, load_actions):
+        with pytest.raises(FormatError, match=r"^input is not UTF-8 text "
+                           r"\(invalid continuation byte\)$"):
+            load(str(bad))
 
 
 @settings(max_examples=120, deadline=None)
