@@ -1,0 +1,92 @@
+"""Every small structure, checked against the oracles and the paper's claim.
+
+The enumeration takes every decision structure whose node ids n0, n1, ...
+are in topological order and whose actions a0, a1, ... are distinct: up
+to 5 nodes over the labels {s, f} and up to 4 over {s, f, m}. The terms
+are every compressed operator term over the leaves a0 .. a(k-1), in every
+leaf order, for the same bounds. A structure is a k-BT exactly when one
+of those terms builds it, and its extracted term must rebuild it.
+"""
+
+import itertools
+
+from decstruct import (DecisionStructure, Leaf, Op, classify, construct_kbt,
+                       decompose, find_modules, structurally_equivalent)
+from oracles import oracle_decompose, oracle_modules
+
+BOUNDS = (("sf", 5), ("sfm", 4))  # (labels, most nodes)
+
+
+def out_choices(i, n, labels):
+    """Every out-arc set of node i of n: distinct labels, distinct heads,
+    each head after i."""
+    heads = range(i + 1, n)
+    return [list(zip(chosen, hs))
+            for k in range(min(len(labels), len(heads)) + 1)
+            for chosen in itertools.combinations(labels, k)
+            for hs in itertools.permutations(heads, k)]
+
+
+def small_structures(labels, n):
+    """Every structure on n0 .. n(n-1) in topological order: each node
+    after the first has an in-arc, so n0 is the one source and reaches
+    every node."""
+    nodes = [("n%d" % i, "a%d" % i) for i in range(n)]
+    for outs in itertools.product(*(out_choices(i, n, labels)
+                                    for i in range(n))):
+        arcs = [("n%d" % i, "n%d" % h, r)
+                for i, out in enumerate(outs) for r, h in out]
+        if len({h for _, h, _ in arcs}) == n - 1:
+            yield DecisionStructure(nodes, arcs)
+
+
+def compressed_terms(leaves, labels, parent=None):
+    """Every compressed term over leaves in this order: each operator has
+    two or more children and none with its own label."""
+    if len(leaves) == 1:
+        yield Leaf(leaves[0])
+        return
+    n = len(leaves)
+    for label in labels:
+        if label == parent:
+            continue
+        for k in range(1, n):
+            for cuts in itertools.combinations(range(1, n), k):
+                bounds = (0,) + cuts + (n,)
+                parts = [compressed_terms(leaves[a:b], labels, label)
+                         for a, b in zip(bounds, bounds[1:])]
+                for children in itertools.product(*map(list, parts)):
+                    yield Op(label, list(children))
+
+
+def shape(z):
+    """z up to its node ids, which distinct actions make a full key."""
+    return (len(z.nodes),
+            frozenset((z.action_of[t], z.action_of[h], r)
+                      for t, h, r in z.arcs))
+
+
+def test_small_structures_match_the_oracles_and_the_kbt_claim():
+    terms, built, inputs = 0, set(), []
+    for labels, most in BOUNDS:
+        for n in range(1, most + 1):
+            for leaves in itertools.permutations("a%d" % i for i in range(n)):
+                for term in compressed_terms(leaves, labels):
+                    terms += 1
+                    built.add(shape(construct_kbt(term)))
+            inputs.extend(small_structures(labels, n))
+    # the sizes of the enumeration at these bounds; the {s, f} terms of up
+    # to 4 leaves are counted twice and build the same structures
+    assert (len(inputs), terms, len(built)) == (1045 + 952, 11369 + 2329,
+                                                13129)
+    kbts = 0
+    for z in inputs:
+        assert find_modules(z) == oracle_modules(z), z.arcs
+        assert decompose(z).to_dict() == oracle_decompose(z).to_dict(), \
+            z.arcs
+        result = classify(z)
+        assert result["is_kbt"] == (shape(z) in built), z.arcs
+        if result["is_kbt"]:
+            kbts += 1
+            assert structurally_equivalent(construct_kbt(result["kbt"]), z)
+    assert 0 < kbts < len(inputs)
