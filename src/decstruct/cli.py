@@ -1,6 +1,7 @@
 """Command line interface for decision-structure tooling."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -451,9 +452,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built at the first main() call and reused
+    by every later one in the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (StructureError, LogicError, FormatError, ResourceLimit,

@@ -15,12 +15,17 @@ runs the one sweep from a set's first node, up to the set's size, and
 quotient checks every block against one context.
 
 decompose reads one context and builds no sub-structure. Each tree level
-X is the prefix of its source's sweep of length |X|, with the out-arcs
-of z cut to X. It is cut into path blocks where a module prefix leaves
-only into the next node, or else prime: in topological order, each node
-not yet covered takes its largest module inside X, read off its sweep up
-to |X| - 1 nodes (see _path_blocks and _prime_blocks). A node's requests
-only shrink down the tree, so no sweep runs twice. A work list takes the
+X is the prefix of its source's sweep of length |X|. It is cut into path
+blocks where a module prefix leaves only into the next node, or else
+prime: in topological order, each node not yet covered takes its largest
+module inside X, read off its sweep up to |X| - 1 nodes (see _path_blocks
+and _prime_blocks). A path level hands its sweep down: each block is the
+matching slice of it, which is also the block's own sweep order, so a
+block's sweep never runs and only its sizes are read off the slice
+(_sweeps.keep); the quotient's arcs are the in-arcs of the blocks'
+sources (_path_arcs). A prime level cuts z's out-arcs to X, sorts X
+topologically and sweeps each block's source. A node's requests only
+shrink down the tree, so no sweep runs twice. A work list takes the
 levels in turn, so neither the build nor the tree's readers recurse per
 level; the one structure built per level is its quotient.
 """
@@ -84,7 +89,9 @@ class _sweeps:
     A sweep runs to `stop` nodes (to its end when stop is None) and is
     kept: a later call with no larger stop gets it back, so callers read
     only the prefix up to their stop (the sizes up to it, and order up to
-    the largest of those).
+    the largest of those). keep stores a sweep whose order is already
+    known, as for a path block; one loop (_sizes) reads the sizes off a
+    running sweep and off a known order alike.
     """
 
     def __init__(self, z):
@@ -105,44 +112,72 @@ class _sweeps:
         return order, sizes
 
     def sweep(self, seed, stop):
-        z, labels, aux, topo_pos = self.z, self.labels, self.aux, self.topo_pos
-        order, members, sizes = [], set(), []
-        # heads[r] maps each outside head of an r-arc from M to its arc
-        # count; crowded counts the labels currently seeing 2+ heads.
-        heads = {r: {} for r in labels}
-        crowded = 0
+        order = []
+        sizes = self._sizes(seed, self._taken(seed, stop, order))
+        del order[sizes[-1]:]
+        return order, sizes
+
+    def keep(self, block):
+        """Keep block, a module listed in the order of its first node's
+        sweep, as that sweep up to its size. Its sizes come from one pass
+        over block, with no heap and no readiness counts.
+
+        A path block's slice of its level's sweep is in that order: arcs
+        entering the block land on its first node, so readiness inside it
+        is the same in both sweeps, and neither takes an outside node
+        before the block is complete."""
+        self.swept[block[0]] = (len(block), block,
+                                self._sizes(block[0], block))
+
+    def _taken(self, seed, stop, order):
+        """The nodes of seed's sweep, up to stop of them, each appended to
+        order as it is taken: the topologically first node whose every
+        in-arc comes from those taken before it."""
+        z, topo_pos = self.z, self.topo_pos
         cnt = {}
         ready = [(topo_pos[seed], seed)]
-        while ready and len(order) != stop:
-            _, u = heapq.heappop(ready)
+        while ready:
+            u = heapq.heappop(ready)[1]
             order.append(u)
-            members.add(u)
-            # the seed's in-arcs come from outside M, all others' from M
-            for _, r in z.preds[u] if u != seed else ():
-                bucket = heads[r]
-                bucket[u] -= 1
-                if not bucket[u]:
-                    del bucket[u]
-                    if len(bucket) == 1:
-                        crowded -= 1
-            out = z.out[u]
-            for r in labels:
-                h = out.get(r, aux[r])
-                if h not in members:
-                    bucket = heads[r]
-                    bucket[h] = bucket.get(h, 0) + 1
-                    if bucket[h] == 1 and len(bucket) == 2:
-                        crowded += 1
-            for r, h in out.items():
-                if h in members:
-                    continue
+            yield u
+            if len(order) == stop:
+                return
+            for h in z.out[u].values():
                 cnt[h] = cnt.get(h, 0) + 1
                 if cnt[h] == len(z.preds[h]):
                     heapq.heappush(ready, (topo_pos[h], h))
+
+    def _sizes(self, seed, nodes):
+        """The sizes of the module prefixes of nodes, which z takes in the
+        order of seed's sweep. A head of an arc leaving a taken node is
+        never taken yet: it would have been taken before its tail."""
+        preds, outs = self.z.preds, self.z.out
+        # heads[r] maps each outside head of an r-arc from M to its arc
+        # count; crowded counts the labels currently seeing 2+ heads.
+        heads = {r: {} for r in self.labels}
+        exits = [(r, heads[r], self.aux[r]) for r in self.labels]
+        crowded, sizes = 0, []
+        for k, u in enumerate(nodes, 1):
+            # the seed's in-arcs come from outside M, all others' from M
+            for _, r in preds[u] if u != seed else ():
+                bucket = heads[r]
+                count = bucket[u] - 1
+                if count:
+                    bucket[u] = count
+                else:
+                    del bucket[u]
+                    if len(bucket) == 1:
+                        crowded -= 1
+            out = outs[u]
+            for r, bucket, sink in exits:
+                h = out.get(r, sink)
+                count = bucket.get(h, 0)
+                bucket[h] = count + 1
+                if not count and len(bucket) == 2:
+                    crowded += 1
             if not crowded:
-                sizes.append(len(order))
-        del order[sizes[-1]:]
-        return order, sizes
+                sizes.append(k)
+        return sizes
 
     def is_module(self, members):
         """members, a non-empty set of z's nodes, is a module exactly when
@@ -196,29 +231,25 @@ def quotient(z, blocks):
         if not sweeps.is_module(b):
             raise ElementNotAModule(b)
     blocks.sort(key=lambda b: min(map(sweeps.topo_pos.__getitem__, b)))
-    return _quotient(z, blocks, z.arcs)
+    return _quotient(z, blocks, _block_arcs(blocks, z.arcs))
 
 
 def _quotient(z, blocks, arcs):
     """quotient, unchecked: blocks are modules of z ordered by their
-    sources' topological order, and arcs, in order, the arcs among them."""
-    home = {m: b for b in blocks for m in b}
-    qnodes = []
-    for b in blocks:
-        bid = block_id(b)
-        action = z.action_of[next(iter(b))] if len(b) == 1 else bid
-        qnodes.append((bid, action))
-    qarcs = []
-    emitted = set()
-    for t, h, r in arcs:
-        bt, bh = home[t], home[h]
-        if bt is bh:
-            continue
-        key = (block_id(bt), block_id(bh), r)
-        if key not in emitted:
-            emitted.add(key)
-            qarcs.append(key)
+    sources' topological order, and arcs, in order, the arcs among them as
+    (tail block, head block, label), block indexes into blocks."""
+    ids = [block_id(b) for b in blocks]
+    qnodes = [(bid, z.action_of[next(iter(b))] if len(b) == 1 else bid)
+              for bid, b in zip(ids, blocks)]
+    qarcs = dict.fromkeys((ids[i], ids[j], r) for i, j, r in arcs if i != j)
     return DecisionStructure(qnodes, qarcs)
+
+
+def _block_arcs(blocks, arcs):
+    """arcs as (tail block, head block, label), block indexes into
+    blocks."""
+    home = {m: j for j, b in enumerate(blocks) for m in b}
+    return [(home[t], home[h], r) for t, h, r in arcs]
 
 
 def contract(z, members):
@@ -340,6 +371,7 @@ def decompose(z):
     """Modular decomposition of a decision structure, built from z and its
     sweeps alone (see the module docstring)."""
     sweeps = _sweeps(z)
+    topo_pos = sweeps.topo_pos
     node_pos = {v: i for i, v in enumerate(z.action_of)}
     arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
     root = [None]
@@ -352,45 +384,77 @@ def decompose(z):
             continue
         order, sizes = sweeps(source, n)
         members = order[:n]
-        inside = set(members)
-        out = {v: {r: h for r, h in z.out[v].items() if h in inside}
-               for v in members}
-        chain = _path_blocks(members, out, sizes)
-        # a prime quotient's nodes follow the level's toposort as z's own
-        # would run it, from the level's first node in z.nodes
-        blocks = chain or _prime_blocks(
-            _toposort(sorted(members, key=node_pos.get), out), sweeps)
-        q = _quotient(z, blocks, [z.arcs[k] for k in sorted(
-            arc_pos[t, r] for t in members for r in out[t])])
-        label = _uniform_path(q)
-        if chain and label is None:
-            raise StructureError("chain quotient is not a uniform path")
+        inside = frozenset(members)
+        blocks = _path_blocks(z, topo_pos, members, inside, sizes)
+        if blocks:
+            label, arcs = _path_arcs(z, topo_pos, arc_pos, blocks, inside)
+            q = _quotient(z, blocks, arcs)
+            for b in blocks[1:]:
+                if len(b) > 1:
+                    sweeps.keep(b)
+        else:
+            out = {v: {r: h for r, h in z.out[v].items() if h in inside}
+                   for v in members}
+            # a prime quotient's nodes follow the level's toposort as z's
+            # own would run it, from the level's first node in z.nodes
+            blocks = _prime_blocks(
+                _toposort(sorted(members, key=node_pos.get), out), sweeps)
+            arcs = [z.arcs[k] for k in sorted(
+                arc_pos[t, r] for t in members for r in out[t])]
+            q = _quotient(z, blocks, _block_arcs(blocks, arcs))
+            label = _uniform_path(q)
+            at = {qid: j for j, (qid, _) in enumerate(q.nodes)}
+            blocks = [blocks[at[qid]] for qid in q.topological_order()]
         kind = "path" if label is not None else "prime"
-        d = slots[i] = DecompositionNode(kind, members, label=label,
+        d = slots[i] = DecompositionNode(kind, inside, label=label,
                                          children=[None] * len(blocks),
                                          quotient=q)
-        by_id = {block_id(b): b for b in blocks}
-        todo.extend((by_id[qid][0], len(by_id[qid]), d.children, j)
-                    for j, qid in enumerate(q.topological_order()))
+        todo.extend((b[0], len(b), d.children, j)
+                    for j, b in enumerate(blocks))
     return root[0]
 
 
-def _path_blocks(members, out, sizes):
-    """A level's blocks as a path, or None. members, a topological order
-    of the level, splits at k when members[:k] is a module and no arc
-    jumps from before k to past it: members[:k] then leaves only into
-    members[k], so the slices between split points are modules."""
-    pos = {v: i for i, v in enumerate(members)}
-    cuts, reach, sizes = [0], 0, set(sizes)
-    for k, v in enumerate(members[:-1], 1):
-        for h in out[v].values():
-            reach = max(reach, pos[h])
-        if reach <= k and k in sizes:
+def _path_blocks(z, topo_pos, members, inside, sizes):
+    """A level's blocks as a path, or None. members, the level in its
+    source's sweep order, splits at k when members[:k] is a module and no
+    arc jumps from before k to past it: members[:k] then leaves only into
+    members[k], so the slices between split points are modules. A sweep
+    prefix that is a module runs in increasing topo_pos, as its first
+    member not yet taken is always ready, so topo_pos tells how far an
+    arc jumps; only members up to the last proper module are read."""
+    cuts, reach, start = [0], -1, 0
+    for k in sizes:
+        if k >= len(members):
+            break
+        for v in members[start:k]:
+            for h in z.out[v].values():
+                if h in inside and topo_pos[h] > reach:
+                    reach = topo_pos[h]
+        start = k
+        if reach <= topo_pos[members[k]]:
             cuts.append(k)
     if len(cuts) == 1:
         return None
     cuts.append(len(members))
     return [members[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _path_arcs(z, topo_pos, arc_pos, blocks, inside):
+    """The label and quotient arcs of a level cut into path blocks. Arcs
+    entering a module land on its source, so the in-arcs of each block's
+    source but the first's are the arcs between blocks: each must come
+    from the block before with the one label. The quotient's arcs are
+    in the order of their first arcs in z.arcs."""
+    label, first = None, []
+    for j in range(1, len(blocks)):
+        lo, preds = topo_pos[blocks[j - 1][0]], z.preds[blocks[j][0]]
+        for t, r in preds:
+            if (t not in inside or topo_pos[t] < lo
+                    or label not in (None, r)):
+                raise StructureError("chain quotient is not a uniform path")
+            label = r
+        first.append((min(arc_pos[t, r] for t, r in preds), j))
+    return label, [(j - 1, j, label) for _, j in sorted(first)]
 
 
 def _prime_blocks(topo, sweeps):

@@ -69,6 +69,43 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+COMMANDS = ("validate", "construct", "extract", "modules", "decompose",
+            "complexity", "classify", "contract", "expand", "verify",
+            "check-replace", "export-dot", "export-fsm", "export-obligation")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # the parser is built at the first main() call, and after other runs
+    # and errors every --help reads as from a parser never used
+    import decstruct.cli as cli
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "--format", "json", "classify",
+                   corpus_path("q.ds"))[0] == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        for argv in [[]] + [[c] for c in COMMANDS]:
+            with pytest.raises(SystemExit):
+                main(argv + ["--help"])
+            reused = capsys.readouterr()
+            with pytest.raises(SystemExit):
+                real().parse_args(argv + ["--help"])
+            assert reused == capsys.readouterr(), argv
+            assert reused.out.startswith("usage: decstruct")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_construct_and_extract_roundtrip(tmp_path, capsys):
     term = tmp_path / "t.arch"
     term.write_text("(fb (seq a b c) (seq (fb d e) f g) h)\n")

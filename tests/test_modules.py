@@ -333,9 +333,16 @@ def test_quotient_of_modular_partition_validates():
 
 
 def test_decompose_invariant_survives_optimized_python(monkeypatch):
-    # a broken invariant raises StructureError, not an assert that -O strips
-    import decstruct.modules as modules
-    monkeypatch.setattr(modules, "_uniform_path", lambda q: None)
+    # a broken invariant raises StructureError, not an assert that -O
+    # strips: a path level cut into single nodes is no path, as c is
+    # entered from a and b
+    real = modules._path_blocks
+
+    def singletons(z, topo_pos, members, inside, sizes):
+        blocks = real(z, topo_pos, members, inside, sizes)
+        return blocks and [[v] for v in members]
+
+    monkeypatch.setattr(modules, "_path_blocks", singletons)
     with pytest.raises(StructureError, match="not a uniform path"):
         decompose(structure("btswitch"))
 
@@ -416,14 +423,52 @@ def count_sweeps(monkeypatch):
     return swept
 
 
-def test_decompose_sweeps_only_the_source_of_a_flat_chain(monkeypatch):
+def alternating_chain(n):
+    """a0 -s-> a1 -f-> a2 -s-> ... a<n-1>: n - 1 nested two-block paths."""
+    return DecisionStructure(
+        [("a%d" % i, "x%d" % i) for i in range(n)],
+        [("a%d" % i, "a%d" % (i + 1), "sf"[i % 2]) for i in range(n - 1)])
+
+
+def test_decompose_sweeps_only_the_source_of_a_chain(monkeypatch):
     # every prefix of a tr chain is a module, so sweeping each node to the
-    # chain's end would cost Θ(n²); the level is read off its source alone
-    z = construct_tr(["a%d" % i for i in range(120)])
+    # chain's end would cost Θ(n²); the level is read off its source alone.
+    # An alternating chain nests a path per node, and each level's second
+    # block is the rest of its level's sweep, so it is not swept again
     swept = count_sweeps(monkeypatch)
-    d = decompose(z)
-    assert d.kind == "path" and len(d.children) == 120
-    assert [(seed, stop) for _, seed, stop in swept] == [(z.source, 120)]
+    for z, children in ((construct_tr(["a%d" % i for i in range(120)]), 120),
+                        (alternating_chain(301), 2)):
+        swept.clear()
+        d = decompose(z)
+        assert d.kind == "path" and len(d.children) == children
+        assert [(seed, stop) for _, seed, stop in swept] == \
+            [(z.source, len(z.nodes))]
+
+
+def test_path_blocks_keep_the_order_of_their_own_sweeps(monkeypatch):
+    # a path block's order is the slice of its level's sweep, and the sizes
+    # of one pass over it are those of the block's own sweep
+    kept = []
+    real = modules._sweeps.keep
+
+    def recorded(self, block):
+        kept.append((self, block))
+        return real(self, block)
+
+    monkeypatch.setattr(modules._sweeps, "keep", recorded)
+    blocks = 0
+    for z in (random_structures() + kbt_structures() + large_kbt_structures()
+              + nested_structures()):
+        kept.clear()
+        decompose(z)
+        for sweeps, block in kept:
+            n = len(block)
+            order, sizes = sweeps(block[0], n)
+            fresh = modules._sweeps(z)(block[0], n)
+            assert (order[:n], [k for k in sizes if k <= n]) == fresh
+            assert fresh[0] == block
+        blocks += len(kept)
+    assert blocks > 300
 
 
 def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
@@ -472,9 +517,7 @@ def test_deep_trees_are_built_and_read_without_recursion(tmp_path):
     # a 301-node alternating s/f chain nests 300 paths, far past the
     # lowered recursion limit, for the library and the CLI alike
     n = 301
-    z = DecisionStructure(
-        [("a%d" % i, "x%d" % i) for i in range(n)],
-        [("a%d" % i, "a%d" % (i + 1), "sf"[i % 2]) for i in range(n - 1)])
+    z = alternating_chain(n)
     path = tmp_path / "deep.ds"
     path.write_text(format_structure(z))
     code = textwrap.dedent("""
