@@ -334,17 +334,21 @@ def test_quotient_of_modular_partition_validates():
 
 def test_decompose_invariant_survives_optimized_python(monkeypatch):
     # a broken invariant raises StructureError, not an assert that -O
-    # strips: a path level cut into single nodes is no path, as c is
-    # entered from a and b
-    real = modules._path_blocks
+    # strips. Each level is cut into its first two nodes and single nodes
+    # after them, which is no path at the top: in the chain a0 -s-> a1
+    # -f-> a2 -s-> a3, a2 is entered with f and a3 with s; in skips, v is
+    # entered from u and from p, two blocks before it, with one label s
+    def cut(z, topo_pos, members, inside, sizes):
+        k = 2 if len(members) > 2 else 1  # no block is the whole level
+        return [members[:k]] + [[v] for v in members[k:]]
 
-    def singletons(z, topo_pos, members, inside, sizes):
-        blocks = real(z, topo_pos, members, inside, sizes)
-        return blocks and [[v] for v in members]
-
-    monkeypatch.setattr(modules, "_path_blocks", singletons)
-    with pytest.raises(StructureError, match="not a uniform path"):
-        decompose(structure("btswitch"))
+    monkeypatch.setattr(modules, "_path_blocks", cut)
+    skips = DecisionStructure(
+        [("p", "p"), ("t", "t"), ("u", "u"), ("v", "v")],
+        [("p", "t", "f"), ("t", "u", "s"), ("u", "v", "s"), ("p", "v", "s")])
+    for z in (alternating_chain(4), skips):
+        with pytest.raises(StructureError, match="not a uniform path"):
+            decompose(z)
 
 
 def random_structures():
