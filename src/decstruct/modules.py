@@ -149,8 +149,9 @@ class _sweeps:
 
     def _sizes(self, seed, nodes):
         """The sizes of the module prefixes of nodes, which z takes in the
-        order of seed's sweep. A head of an arc leaving a taken node is
-        never taken yet: it would have been taken before its tail."""
+        order of seed's sweep. No head of an arc from a taken node is
+        taken yet: a node is taken after the tails of all its in-arcs,
+        and no taken node has an arc back to the seed."""
         preds, outs = self.z.preds, self.z.out
         # heads[r] maps each outside head of an r-arc from M to its arc
         # count; crowded counts the labels currently seeing 2+ heads.
