@@ -16,7 +16,6 @@ from .structures import (
     NoSource,
     ParallelArcs,
     StructureError,
-    UnreachableNode,
     derived_return,
     format_structure,
     load_structure,

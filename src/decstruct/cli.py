@@ -9,9 +9,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .analysis import (classify, classify_text, complexity_report, export_fsm,
                        relabelings)
-from .architectures import (ArchError, Leaf, Op, Pred, construct_dt,
-                            construct_kbt, construct_tr, extract_kbt,
-                            format_arch, parse_arch)
+from .architectures import (Pred, construct_dt, construct_kbt, construct_tr,
+                            extract_kbt, format_arch, parse_arch)
 from .logic import (LogicError, format_formula, load_actions, load_world,
                     parse_ltl)
 from .modules import (decompose, expand, contract, find_modules,
@@ -175,10 +174,8 @@ def cmd_construct(args):
         z = construct_tr(term)
     elif isinstance(term, Pred):
         z = construct_dt(term)
-    elif isinstance(term, (Op, Leaf)):
-        z = construct_kbt(term)
     else:
-        raise ArchError("unsupported term")
+        z = construct_kbt(term)
     sys.stdout.write(format_structure(z))
     return 0
 

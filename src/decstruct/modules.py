@@ -24,10 +24,11 @@ matching slice of it, which is also the block's own sweep order, so a
 block's sweep never runs and only its sizes are read off the slice
 (_sweeps.keep); the quotient's arcs are the in-arcs of the blocks'
 sources (_path_arcs). A prime level cuts z's out-arcs to X, sorts X
-topologically and sweeps each block's source. A node's requests only
-shrink down the tree, so no sweep runs twice. A work list takes the
-levels in turn, so neither the build nor the tree's readers recurse per
-level; the one structure built per level is its quotient.
+topologically and sweeps each block's source; its quotient's arcs too
+are the in-arcs of the blocks' sources, those from inside X. A node's
+requests only shrink down the tree, so no sweep runs twice. A work list
+takes the levels in turn, so neither the build nor the tree's readers
+recurse per level; the one structure built per level is its quotient.
 """
 
 import heapq
@@ -37,12 +38,9 @@ from .structures import DecisionStructure, StructureError, _toposort
 
 
 class NotAModule(StructureError):
-    def __init__(self, members, reason=""):
+    def __init__(self, members):
         self.members = sorted(members)
-        msg = "not a module: {%s}" % ", ".join(self.members)
-        if reason:
-            msg += " (" + reason + ")"
-        super().__init__(msg)
+        super().__init__("not a module: {%s}" % ", ".join(self.members))
 
 
 class NotAPartition(StructureError):
@@ -232,7 +230,8 @@ def quotient(z, blocks):
         if not sweeps.is_module(b):
             raise ElementNotAModule(b)
     blocks.sort(key=lambda b: min(map(sweeps.topo_pos.__getitem__, b)))
-    return _quotient(z, blocks, _block_arcs(blocks, z.arcs))
+    home = {m: j for j, b in enumerate(blocks) for m in b}
+    return _quotient(z, blocks, [(home[t], home[h], r) for t, h, r in z.arcs])
 
 
 def _quotient(z, blocks, arcs):
@@ -244,13 +243,6 @@ def _quotient(z, blocks, arcs):
               for bid, b in zip(ids, blocks)]
     qarcs = dict.fromkeys((ids[i], ids[j], r) for i, j, r in arcs if i != j)
     return DecisionStructure(qnodes, qarcs)
-
-
-def _block_arcs(blocks, arcs):
-    """arcs as (tail block, head block, label), block indexes into
-    blocks."""
-    home = {m: j for j, b in enumerate(blocks) for m in b}
-    return [(home[t], home[h], r) for t, h, r in arcs]
 
 
 def contract(z, members):
@@ -280,7 +272,7 @@ def expand(z, v, q):
             rename[u] = u
         else:
             k = 2
-            while "%s_%d" % (u, k) in taken or "%s_%d" % (u, k) in rename.values():
+            while "%s_%d" % (u, k) in taken:
                 k += 1
             rename[u] = "%s_%d" % (u, k)
         taken.add(rename[u])
@@ -356,18 +348,6 @@ def _children(d):
     return d.children
 
 
-def _uniform_path(q):
-    """The shared arc label if q is a uniformly-labeled directed path."""
-    labels = {r for _, _, r in q.arcs}
-    if len(labels) != 1 or len(q.arcs) != len(q.nodes) - 1:
-        return None
-    if len(q.sinks()) != 1:
-        return None
-    if any(len(q.out[v]) > 1 for v in q.action_of):
-        return None
-    return labels.pop()
-
-
 def decompose(z):
     """Modular decomposition of a decision structure, built from z and its
     sweeps alone (see the module docstring)."""
@@ -388,25 +368,30 @@ def decompose(z):
         inside = frozenset(members)
         blocks = _path_blocks(z, topo_pos, members, inside, sizes)
         if blocks:
+            kind = "path"
             label, arcs = _path_arcs(z, topo_pos, arc_pos, blocks, inside)
             q = _quotient(z, blocks, arcs)
             for b in blocks[1:]:
                 if len(b) > 1:
                     sweeps.keep(b)
         else:
+            kind, label = "prime", None
             out = {v: {r: h for r, h in z.out[v].items() if h in inside}
                    for v in members}
             # a prime quotient's nodes follow the level's toposort as z's
             # own would run it, from the level's first node in z.nodes
             blocks = _prime_blocks(
-                _toposort(sorted(members, key=node_pos.get), out), sweeps)
-            arcs = [z.arcs[k] for k in sorted(
-                arc_pos[t, r] for t in members for r in out[t])]
-            q = _quotient(z, blocks, _block_arcs(blocks, arcs))
-            label = _uniform_path(q)
+                _toposort(sorted(members, key=node_pos.get), out), inside,
+                sweeps)
+            # arcs entering a module land on its source, so the arcs
+            # between blocks are the in-arcs of the blocks' sources
+            home = {m: j for j, b in enumerate(blocks) for m in b}
+            arcs = sorted((arc_pos[t, r], home[t], j, r)
+                          for j, b in enumerate(blocks)
+                          for t, r in z.preds[b[0]] if t in inside)
+            q = _quotient(z, blocks, [arc[1:] for arc in arcs])
             at = {qid: j for j, (qid, _) in enumerate(q.nodes)}
             blocks = [blocks[at[qid]] for qid in q.topological_order()]
-        kind = "path" if label is not None else "prime"
         d = slots[i] = DecompositionNode(kind, inside, label=label,
                                          children=[None] * len(blocks),
                                          quotient=q)
@@ -458,13 +443,14 @@ def _path_arcs(z, topo_pos, arc_pos, blocks, inside):
     return label, [(j - 1, j, label) for _, j in sorted(first)]
 
 
-def _prime_blocks(topo, sweeps):
+def _prime_blocks(topo, inside, sweeps):
     """The maximal proper modules of the level topo (a topological order
-    of it), disjoint when it is no path, and a singleton for each node in
-    none, each a sweep prefix: in topo order, each node not yet covered
-    takes the largest module of its sweep that is short of the whole
-    level and ends before the sweep first leaves it."""
-    n, inside = len(topo), set(topo)
+    of it, with node set inside), disjoint when it is no path, and a
+    singleton for each node in none, each a sweep prefix: in topo order,
+    each node not yet covered takes the largest module of its sweep that
+    is short of the whole level and ends before the sweep first leaves
+    it."""
+    n = len(topo)
     covered, blocks = set(), []
     for v in topo:
         if v in covered:

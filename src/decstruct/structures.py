@@ -1,9 +1,11 @@
 """Core decision structures: labeled single-source DAGs and their semantics.
 
 A decision structure is a finite DAG with exactly one source, no parallel
-arcs, all nodes reachable from the source, and the out-arcs of every node
-carrying pairwise distinct labels. Nodes name actions (several nodes may
-share an action); arcs are labeled by return values.
+arcs, and the out-arcs of every node carrying pairwise distinct labels.
+Every node is then reachable from the source: walking back along in-arcs
+from any node ends, with no cycle, at a node with no in-arc, which is the
+source. Nodes name actions (several nodes may share an action); arcs are
+labeled by return values.
 """
 
 
@@ -33,12 +35,6 @@ class DuplicateArcLabel(StructureError):
         self.node = node
         self.label = label
         super().__init__("node %r has two out-arcs labeled %r" % (node, label))
-
-
-class UnreachableNode(StructureError):
-    def __init__(self, node):
-        self.node = node
-        super().__init__("node %r is unreachable from the source" % node)
 
 
 class ParallelArcs(StructureError):
@@ -131,7 +127,6 @@ class DecisionStructure:
             self.preds[h].append((t, r))
         self.source = self._find_source()
         self._topo = _toposort(self.action_of, self.out)
-        self._check_reachability()
 
     # -- validation ------------------------------------------------------
 
@@ -142,19 +137,6 @@ class DecisionStructure:
         if len(roots) > 1:
             raise MultipleSources(roots)
         return roots[0]
-
-    def _check_reachability(self):
-        seen = {self.source}
-        frontier = [self.source]
-        while frontier:
-            n = frontier.pop()
-            for h in self.out[n].values():
-                if h not in seen:
-                    seen.add(h)
-                    frontier.append(h)
-        for i, _ in self.nodes:
-            if i not in seen:
-                raise UnreachableNode(i)
 
     # -- basic queries ---------------------------------------------------
 

@@ -74,13 +74,25 @@ def oracle_modules(z):
     return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
+def _uniform_path(q):
+    """The shared arc label if q is a uniformly-labeled directed path."""
+    labels = {r for _, _, r in q.arcs}
+    if len(labels) != 1 or len(q.arcs) != len(q.nodes) - 1:
+        return None
+    if len(q.sinks()) != 1:
+        return None
+    if any(len(q.out[v]) > 1 for v in q.action_of):
+        return None
+    return labels.pop()
+
+
 def oracle_decompose(z):
     """Modular decomposition that searches every induced child for its own
     modules, keeps the maximal ones by a full scan and cuts paths by its
     own rule, so it does not rest on the restriction lemma or on the
     sweep reading that decompose uses."""
-    from decstruct.modules import (DecompositionNode, _uniform_path,
-                                   block_id, find_modules, quotient)
+    from decstruct.modules import (DecompositionNode, block_id,
+                                   find_modules, quotient)
     if len(z.nodes) == 1:
         v = z.source
         return DecompositionNode("leaf", [v], node=v, action=z.action_of[v])

@@ -383,6 +383,71 @@ def test_check_replace_refuses_both_modes_at_once(capsys, monkeypatch):
                "--action", "Ascend", "--with-action", "Ascend", *w) == refused
 
 
+def test_input_errors_exit_1_with_their_messages(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    files = {"tail.ds": "decstruct v1\nnode a x\nnode c y\narc b c s\n",
+             "empty.ds": "",
+             "one.ds": "decstruct v1\nnode A A\n",
+             "twice.wld": "var m {a b}\nvar n {b c}\n",
+             "one.act": "action A {\n  model: true;\n}\n",
+             "true.ltl": "true\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name) for name in files}
+    w = ["--world", corpus_path("drone.wld"),
+         "--actions", corpus_path("drone.act")]
+    cases = [
+        (["contract", corpus_path("z2.ds"), "--module", ","],
+         "--module needs a comma-separated node list"),
+        (["check-replace", "--action", "Ascend", *w],
+         "--action needs --with-action"),
+        (["expand", corpus_path("z2.ds"), "--node", "nosuch",
+          "--with", corpus_path("q.ds")], "unknown node 'nosuch'"),
+        (["validate", f["tail.ds"]], "arc tail 'b' is not a node"),
+        (["validate", f["empty.ds"]], "missing header 'decstruct v1'"),
+        (["verify", f["one.ds"], "--world", f["twice.wld"],
+          "--actions", f["one.act"], "--spec", f["true.ltl"]],
+         "atom 'b' declared twice"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message), argv
+
+
+def test_check_replace_text_prints_the_counterexample(capsys, monkeypatch):
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    code, out, _ = run(capsys, "check-replace", "--action", "Descend",
+                       "--with-action", "Land",
+                       "--world", corpus_path("drone.wld"),
+                       "--actions", corpus_path("drone.act"))
+    assert code == 1
+    assert out.splitlines() == [
+        "action Descend -> Land: not replaceable",
+        "  returns s: low  [differs]",
+        "  behavior: not entailed",
+        "   0  b0 & windy & landed & bright & at & goal & photo",
+        "   1  b0 & calm & landed & bright & at & goal & photo",
+        "  loop:",
+        "   2  bMid & calm & landed & bright & at & goal & photo",
+        "   3  bMid & calm & landed & bright & at & goal & photo"]
+
+
+def test_check_replace_text_prints_its_notes(capsys, monkeypatch):
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    members = ",".join(structure("k2").node_ids())
+    code, out, _ = run(capsys, "check-replace", corpus_path("z3.ds"),
+                       "--module", members, "--with", corpus_path("q2.ds"),
+                       "--world", corpus_path("drone.wld"),
+                       "--actions", corpus_path("drone.act"))
+    assert code == 0
+    assert out.splitlines() == [
+        "module {Ascend,Circle,Descend,GoTo,Photograph,at,goal}: "
+        "replaceable",
+        "  note: module has no outgoing arcs; return conditions are "
+        "invisible and were not compared",
+        "  behavior: entailed"]
+
+
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys,
                                                    monkeypatch):
     # every reader decodes UTF-8; any other input is one error line

@@ -225,6 +225,9 @@ def test_quotient_validates_partitions():
         quotient(z, [frozenset(ids[:2]), frozenset(ids[1:])])
     with pytest.raises(NotAPartition):
         quotient(z, [frozenset(ids[:2])])
+    with pytest.raises(NotAPartition) as err:
+        quotient(z, [[v] for v in ids] + [["x2", "x1"]])
+    assert str(err.value) == "not a partition: unknown nodes: {x1, x2}"
     with pytest.raises(NotAModule):
         contract(z, {"a", "h"})
     with pytest.raises(ElementNotAModule):
@@ -251,6 +254,22 @@ def test_expand_renames_colliding_ids():
     assert len(big.nodes) == 3
     assert sorted(big.action_of.values()) == ["go", "ping", "pong"]
     assert "a" in big.action_of and "c" in big.action_of
+
+
+def test_expand_renames_chained_collisions():
+    # a new id skips every id taken so far, the host's and the new ones
+    # alike: q's a_3 meets the a_3 that q's a became
+    z = DecisionStructure(
+        [("a", "go"), ("a_2", "go"), ("v", "stop")],
+        [("a", "a_2", "s"), ("a_2", "v", "s")])
+    q = DecisionStructure(
+        [("a", "ping"), ("a_2", "pong"), ("a_3", "pang")],
+        [("a", "a_2", "s"), ("a_2", "a_3", "s")])
+    big = expand(z, "v", q)
+    assert big.nodes == [("a", "go"), ("a_2", "go"), ("a_3", "ping"),
+                         ("a_2_2", "pong"), ("a_3_2", "pang")]
+    assert big.arcs == [("a", "a_2", "s"), ("a_2", "a_3", "s"),
+                        ("a_3", "a_2_2", "s"), ("a_2_2", "a_3_2", "s")]
 
 
 def test_expand_routes_replaced_out_arcs_to_all_new_sinks():

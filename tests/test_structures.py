@@ -58,6 +58,43 @@ def test_validate_rejects_cycle_off_the_main_trunk():
                  [("a", "b", "s"), ("c", "d", "s"), ("d", "c", "s")])
 
 
+def test_every_node_is_reachable_once_one_source_and_no_cycle_hold():
+    # a part the source cannot reach either has a node with no in-arc, a
+    # second source, or, walked back along in-arcs, closes a cycle
+    rng = seeded(31)
+    for _ in range(300):
+        z = rand_structure(rng, rng.randint(1, 12))
+        seen, stack = {z.source}, [z.source]
+        while stack:
+            for h in z.out[stack.pop()].values():
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+        assert seen == set(z.action_of)
+        nodes, arcs = list(z.nodes), list(z.arcs)
+        k = rng.randint(1, 3)
+        extra = [("u%d" % i, "y") for i in range(k)]
+        chain = [("u%d" % i, "u%d" % (i + 1), "s") for i in range(k - 1)]
+        inner = [v for v in z.node_ids() if v != z.source]
+        if rng.random() < 0.5:
+            # a second source heading a chain, which may feed into z
+            if inner and rng.random() < 0.5:
+                chain.append(("u%d" % (k - 1), rng.choice(inner), "s"))
+            with pytest.raises(MultipleSources) as err:
+                DecisionStructure(nodes + extra, arcs + chain)
+            assert str(err.value) == "multiple sources: " + ", ".join(
+                sorted([z.source, "u0"]))
+        else:
+            # a cycle no arc enters from z, with arcs out into z
+            cycle = chain + [("u%d" % (k - 1), "u0", "f")]
+            out = [("u%d" % i, rng.choice(inner), "m") for i in range(k)
+                   if inner and rng.random() < 0.5]
+            with pytest.raises(CycleFound) as err:
+                DecisionStructure(extra + nodes, cycle + out + arcs)
+            assert str(err.value) == "cycle: " + " -> ".join(
+                ["u%d" % i for i in range(k)] + ["u0"])
+
+
 def test_validate_rejects_parallel_arcs():
     with pytest.raises(ParallelArcs):
         validate([("a", "x"), ("b", "y")],
