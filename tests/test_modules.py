@@ -257,19 +257,19 @@ def test_expand_renames_colliding_ids():
 
 
 def test_expand_renames_chained_collisions():
-    # a new id skips every id taken so far, the host's and the new ones
-    # alike: q's a_3 meets the a_3 that q's a became
+    # a new id skips every id taken so far, the host's and q's alike:
+    # q's a skips the host's a_2 and the a_3 q kept
     z = DecisionStructure(
         [("a", "go"), ("a_2", "go"), ("v", "stop")],
         [("a", "a_2", "s"), ("a_2", "v", "s")])
     q = DecisionStructure(
-        [("a", "ping"), ("a_2", "pong"), ("a_3", "pang")],
-        [("a", "a_2", "s"), ("a_2", "a_3", "s")])
+        [("a_3", "ping"), ("a", "pong"), ("a_2", "pang")],
+        [("a_3", "a", "s"), ("a", "a_2", "s")])
     big = expand(z, "v", q)
     assert big.nodes == [("a", "go"), ("a_2", "go"), ("a_3", "ping"),
-                         ("a_2_2", "pong"), ("a_3_2", "pang")]
+                         ("a_4", "pong"), ("a_2_2", "pang")]
     assert big.arcs == [("a", "a_2", "s"), ("a_2", "a_3", "s"),
-                        ("a_3", "a_2_2", "s"), ("a_2_2", "a_3_2", "s")]
+                        ("a_3", "a_4", "s"), ("a_4", "a_2_2", "s")]
 
 
 def test_expand_routes_replaced_out_arcs_to_all_new_sinks():
