@@ -82,11 +82,12 @@ def _json_chunks(obj):
 
 
 def _emit(args, payload, text):
+    """Print payload() as JSON or text() as text, building only that one."""
     if args.format == "json":
-        sys.stdout.writelines(_json_chunks(payload))
+        sys.stdout.writelines(_json_chunks(payload()))
         sys.stdout.write("\n")
     else:
-        print(text)
+        print(text())
 
 
 def _module_set(raw):
@@ -163,7 +164,8 @@ def cmd_validate(args):
     z = load_structure(args.structure)
     payload = {"ok": True, "nodes": len(z.nodes), "arcs": len(z.arcs),
                "source": z.source, "labels": z.labels()}
-    _emit(args, payload, "ok: %d nodes, %d arcs, source %s, labels {%s}"
+    _emit(args, lambda: payload,
+          lambda: "ok: %d nodes, %d arcs, source %s, labels {%s}"
           % (len(z.nodes), len(z.arcs), z.source, ",".join(z.labels())))
     return 0
 
@@ -184,10 +186,11 @@ def cmd_extract(args):
     z = load_structure(args.structure)
     tree = extract_kbt(z)
     if tree is None:
-        _emit(args, {"ok": False},
-              _bad("no operator tree expresses this structure"))
+        _emit(args, lambda: {"ok": False},
+              lambda: _bad("no operator tree expresses this structure"))
         return 1
-    _emit(args, {"ok": True, "term": format_arch(tree)}, format_arch(tree))
+    term = format_arch(tree)
+    _emit(args, lambda: {"ok": True, "term": term}, lambda: term)
     return 0
 
 
@@ -197,15 +200,15 @@ def cmd_modules(args):
     if args.trivial:
         mods = sorted(set(mods) | {frozenset([v]) for v in z.action_of},
                       key=lambda m: (len(m), sorted(m)))
-    payload = {"modules": [sorted(m) for m in mods]}
-    _emit(args, payload, "\n".join(_fmt_modules(mods)) or "(none)")
+    _emit(args, lambda: {"modules": [sorted(m) for m in mods]},
+          lambda: "\n".join(_fmt_modules(mods)) or "(none)")
     return 0
 
 
 def cmd_decompose(args):
     z = load_structure(args.structure)
     d = decompose(z)
-    _emit(args, d.to_dict(), "\n".join(_decomp_text(d)))
+    _emit(args, d.to_dict, lambda: "\n".join(_decomp_text(d)))
     return 0
 
 
@@ -216,7 +219,7 @@ def cmd_complexity(args):
                                              rep["essential"])
     if rep["witness"] and rep["essential"] > 1:
         text += "\nwitness    {%s}" % ",".join(rep["witness"])
-    _emit(args, rep, text)
+    _emit(args, lambda: rep, lambda: text)
     return 0
 
 
@@ -231,7 +234,8 @@ def cmd_classify(args):
     z = load_structure(args.structure)
     if not args.all_labelings:
         res = classify(z)
-        _emit(args, _jsonable_classification(res), classify_text(res))
+        _emit(args, lambda: _jsonable_classification(res),
+              lambda: classify_text(res))
         return 0
     rows = []
     for zi in relabelings(z):
@@ -249,7 +253,8 @@ def cmd_classify(args):
         lines.append("%-24s %s" % (flag, " ".join(r["arcs"])))
     lines.append("labelings %d, expressible as bt: %d"
                  % (summary["labelings"], summary["bt"]))
-    _emit(args, {"summary": summary, "rows": rows}, "\n".join(lines))
+    _emit(args, lambda: {"summary": summary, "rows": rows},
+          lambda: "\n".join(lines))
     return 0
 
 
@@ -281,13 +286,12 @@ def cmd_verify(args):
         if verdict.stats.get("bounded") and not verdict.stats.get("exhausted"):
             note = " (within bound only)"
             payload["conclusive"] = False
-        _emit(args, payload, _good("holds") + note)
+        _emit(args, lambda: payload, lambda: _good("holds") + note)
         return 0
-    payload["failed"] = format_formula(verdict.conclusion)
-    payload["counterexample"] = verdict.counterexample.to_dict(world)
-    text = "%s: %s\n%s" % (_bad("fails"), payload["failed"],
-                           verdict.counterexample.render(world))
-    _emit(args, payload, text)
+    failed, trace = format_formula(verdict.conclusion), verdict.counterexample
+    _emit(args, lambda: dict(payload, failed=failed,
+                             counterexample=trace.to_dict(world)),
+          lambda: "%s: %s\n%s" % (_bad("fails"), failed, trace.render(world)))
     return 1
 
 
@@ -314,30 +318,36 @@ def cmd_check_replace(args):
         report = check_module_replacement(z, members, q, world, specs,
                                           limit=args.limit)
         subject = "module {%s}" % ",".join(sorted(members))
-    payload = {
-        "ok": report.ok,
-        "behavior_holds": report.behavior.holds,
-        "returns": {v: {"equal": d["equal"],
-                        "required_zero": d["required_zero"],
-                        "old": world.describe_mask(d["old"]),
-                        "new": world.describe_mask(d["new"])}
-                    for v, d in report.returns.items()},
-        "notes": report.notes,
-    }
-    lines = ["%s: %s" % (subject,
-                         _good("replaceable") if report.ok
-                         else _bad("not replaceable"))]
-    for v, d in sorted(report.returns.items()):
-        status = "=" if d["equal"] else "differs"
-        lines.append("  returns %s: %s  [%s]"
-                     % (v, world.describe_mask(d["old"]), status))
-    for n in report.notes:
-        lines.append("  note: %s" % n)
-    lines.append("  behavior: %s"
-                 % ("entailed" if report.behavior.holds else "not entailed"))
-    if not report.behavior.holds and report.behavior.counterexample:
-        lines.append(report.behavior.counterexample.render(world))
-    _emit(args, payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "ok": report.ok,
+            "behavior_holds": report.behavior.holds,
+            "returns": {v: {"equal": d["equal"],
+                            "required_zero": d["required_zero"],
+                            "old": world.describe_mask(d["old"]),
+                            "new": world.describe_mask(d["new"])}
+                        for v, d in report.returns.items()},
+            "notes": report.notes,
+        }
+
+    def text():
+        lines = ["%s: %s" % (subject,
+                             _good("replaceable") if report.ok
+                             else _bad("not replaceable"))]
+        for v, d in sorted(report.returns.items()):
+            status = "=" if d["equal"] else "differs"
+            lines.append("  returns %s: %s  [%s]"
+                         % (v, world.describe_mask(d["old"]), status))
+        for n in report.notes:
+            lines.append("  note: %s" % n)
+        lines.append("  behavior: %s" % ("entailed" if report.behavior.holds
+                                         else "not entailed"))
+        if not report.behavior.holds and report.behavior.counterexample:
+            lines.append(report.behavior.counterexample.render(world))
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return 0 if report.ok else 1
 
 

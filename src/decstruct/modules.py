@@ -8,30 +8,27 @@ X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
 
 Modules are read off one absorption sweep per node (see _sweeps): those
-with source v are prefixes of v's sweep. Sweeps run on demand: a sweep
-context runs a node's sweep when first asked, only up to the requested
-length, and keeps it for later requests that are no longer. is_module
-runs the one sweep from a set's first node, up to the set's size, and
-quotient checks every block against one context.
+with source v are prefixes of v's sweep, which is the run of the nodes v
+dominates in one preorder of z's dominator tree. Sweeps run on demand:
+a sweep context reads a node's sweep when first asked, only up to the
+requested length, and keeps it for later requests that are no longer.
+is_module reads the one sweep from a set's first node, up to the set's
+size, and quotient checks every block against one context.
 
 decompose reads one context and builds no sub-structure. Each tree level
-X is the prefix of its source's sweep of length |X|. It is cut into path
-blocks where a module prefix leaves only into the next node, or else
-prime: in topological order, each node not yet covered takes its largest
-module inside X, read off its sweep up to |X| - 1 nodes (see _path_blocks
-and _prime_blocks). A path level hands its sweep down: each block is the
-matching slice of it, which is also the block's own sweep order, so a
-block's sweep never runs and only its sizes are read off the slice
-(_sweeps.keep); the quotient's arcs are the in-arcs of the blocks'
-sources (_path_arcs). A prime level cuts z's out-arcs to X, sorts X
-topologically and sweeps each block's source; its quotient's arcs too
-are the in-arcs of the blocks' sources, those from inside X. A node's
-requests only shrink down the tree, so no sweep runs twice. A work list
-takes the levels in turn, so neither the build nor the tree's readers
-recurse per level; the one structure built per level is its quotient.
+X is the prefix of its source's sweep of length |X|, a run of the order.
+It is cut into path blocks where a module prefix leaves only into the
+next node, or else prime: in topological order, each node not yet
+covered takes its largest module inside X, read off its sweep up to the
+end of X's run (see _path_blocks and _prime_blocks). A path block is a
+run inside its level's run, and the in-arcs of the blocks' sources are
+the quotient's arcs (_path_arcs). A prime level cuts z's out-arcs to X
+and sorts X topologically; its quotient's arcs too are the in-arcs of
+the blocks' sources, those from inside X. A node's requests only shrink
+down the tree, so no sweep is read twice. A work list takes the levels
+in turn, so neither the build nor the tree's readers recurse per level;
+the one structure built per level is its quotient.
 """
-
-import heapq
 
 from .logic import fold
 from .structures import DecisionStructure, StructureError, _toposort
@@ -73,23 +70,23 @@ def is_module(z, members):
 
 
 class _sweeps:
-    """The absorption sweeps of z, each run when first asked for and only
-    as far as asked: sweeps(seed, stop) -> (order, sizes).
+    """The absorption sweeps of z: sweeps(seed, stop) -> (order, sizes).
 
-    Grow M from the seed by adding the topologically first node whose
-    every in-arc comes from M, tracking for each label the distinct heads
-    of arcs leaving M (a node missing a label leaves toward a per-label
-    virtual sink). M is a module exactly when no label sees two heads;
-    sizes lists those |M|, from 1, and order the nodes up to the last.
-    Every module with source v is such a prefix of v's sweep, as no node
-    outside it gets ready before all of it is in.
+    v's sweep grows M from v by nodes whose every in-arc comes from M,
+    tracking for each label the distinct heads of arcs leaving M (a node
+    missing a label leaves toward a per-label virtual sink). M is a module
+    exactly when no label sees two heads; sizes lists those |M|, from 1,
+    and order the nodes up to the last.
 
-    A sweep runs to `stop` nodes (to its end when stop is None) and is
-    kept: a later call with no larger stop gets it back, so callers read
-    only the prefix up to their stop (the sizes up to it, and order up to
-    the largest of those). keep stores a sweep whose order is already
-    known, as for a path block; one loop (_sizes) reads the sizes off a
-    running sweep and off a known order alike.
+    The nodes v's sweep can take are those v dominates: every path from
+    z's source to them passes v. In the preorder of z's dominator tree,
+    children in z's topological order, they form one run from v, of
+    length span[v]; that preorder is itself topological, and every module
+    with source v is a prefix of v's run. So a sweep is a slice of the one
+    order, read to `stop` nodes (to its end when stop is None) and kept: a
+    later call with no larger stop gets it back, so callers read only the
+    prefix up to their stop (the sizes up to it, and order up to the
+    largest of those).
     """
 
     def __init__(self, z):
@@ -97,7 +94,32 @@ class _sweeps:
         self.labels = z.labels()
         # never collides with node ids
         self.aux = {r: ("\x00sink", r) for r in self.labels}
-        self.topo_pos = {v: i for i, v in enumerate(z.topological_order())}
+        topo = z.topological_order()
+        self.topo_pos = topo_pos = {v: i for i, v in enumerate(topo)}
+        # u's immediate dominator is the nearest common dominator of its
+        # in-arcs' tails (Cooper, Harvey & Kennedy, 2001)
+        idom, kids = {}, {v: [] for v in topo}
+        for u in topo[1:]:
+            preds = z.preds[u]
+            d = preds[0][0]
+            for t, _ in preds:
+                while t != d:
+                    if topo_pos[t] > topo_pos[d]:
+                        t = idom[t]
+                    else:
+                        d = idom[d]
+            idom[u] = d
+            kids[d].append(u)
+        self.order = order = []
+        stack = [z.source]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(kids[v]))
+        self.pos = {v: i for i, v in enumerate(order)}
+        self.span = span = dict.fromkeys(order, 1)
+        for v in order[:0:-1]:
+            span[idom[v]] += span[v]
         self.swept = {}  # seed -> (stop, order, sizes)
 
     def __call__(self, seed, stop=None):
@@ -110,46 +132,16 @@ class _sweeps:
         return order, sizes
 
     def sweep(self, seed, stop):
-        order = []
-        sizes = self._sizes(seed, self._taken(seed, stop, order))
+        i = self.pos[seed]
+        order = self.order[i:i + min(stop, self.span[seed])]
+        sizes = self._sizes(seed, order)
         del order[sizes[-1]:]
         return order, sizes
 
-    def keep(self, block):
-        """Keep block, a module listed in the order of its first node's
-        sweep, as that sweep up to its size. Its sizes come from one pass
-        over block, with no heap and no readiness counts.
-
-        A path block's slice of its level's sweep is in that order: arcs
-        entering the block land on its first node, so readiness inside it
-        is the same in both sweeps, and neither takes an outside node
-        before the block is complete."""
-        self.swept[block[0]] = (len(block), block,
-                                self._sizes(block[0], block))
-
-    def _taken(self, seed, stop, order):
-        """The nodes of seed's sweep, up to stop of them, each appended to
-        order as it is taken: the topologically first node whose every
-        in-arc comes from those taken before it."""
-        z, topo_pos = self.z, self.topo_pos
-        cnt = {}
-        ready = [(topo_pos[seed], seed)]
-        while ready:
-            u = heapq.heappop(ready)[1]
-            order.append(u)
-            yield u
-            if len(order) == stop:
-                return
-            for h in z.out[u].values():
-                cnt[h] = cnt.get(h, 0) + 1
-                if cnt[h] == len(z.preds[h]):
-                    heapq.heappush(ready, (topo_pos[h], h))
-
     def _sizes(self, seed, nodes):
-        """The sizes of the module prefixes of nodes, which z takes in the
-        order of seed's sweep. No head of an arc from a taken node is
-        taken yet: a node is taken after the tails of all its in-arcs,
-        and no taken node has an arc back to the seed."""
+        """The sizes of the module prefixes of nodes, a run of the order
+        from seed: each node's in-arcs but the seed's come from before it
+        in the run, and no head of an arc from a taken node is taken yet."""
         preds, outs = self.z.preds, self.z.out
         # heads[r] maps each outside head of an r-arc from M to its arc
         # count; crowded counts the labels currently seeing 2+ heads.
@@ -352,7 +344,7 @@ def decompose(z):
     """Modular decomposition of a decision structure, built from z and its
     sweeps alone (see the module docstring)."""
     sweeps = _sweeps(z)
-    topo_pos = sweeps.topo_pos
+    pos = sweeps.pos
     node_pos = {v: i for i, v in enumerate(z.action_of)}
     arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
     root = [None]
@@ -366,14 +358,11 @@ def decompose(z):
         order, sizes = sweeps(source, n)
         members = order[:n]
         inside = frozenset(members)
-        blocks = _path_blocks(z, topo_pos, members, inside, sizes)
+        blocks = _path_blocks(z, pos, members, sizes)
         if blocks:
             kind = "path"
-            label, arcs = _path_arcs(z, topo_pos, arc_pos, blocks, inside)
+            label, arcs = _path_arcs(z, pos, arc_pos, blocks)
             q = _quotient(z, blocks, arcs)
-            for b in blocks[1:]:
-                if len(b) > 1:
-                    sweeps.keep(b)
         else:
             kind, label = "prime", None
             out = {v: {r: h for r, h in z.out[v].items() if h in inside}
@@ -381,8 +370,7 @@ def decompose(z):
             # a prime quotient's nodes follow the level's toposort as z's
             # own would run it, from the level's first node in z.nodes
             blocks = _prime_blocks(
-                _toposort(sorted(members, key=node_pos.get), out), inside,
-                sweeps)
+                _toposort(sorted(members, key=node_pos.get), out), sweeps)
             # arcs entering a module land on its source, so the arcs
             # between blocks are the in-arcs of the blocks' sources
             home = {m: j for j, b in enumerate(blocks) for m in b}
@@ -400,24 +388,27 @@ def decompose(z):
     return root[0]
 
 
-def _path_blocks(z, topo_pos, members, inside, sizes):
-    """A level's blocks as a path, or None. members, the level in its
-    source's sweep order, splits at k when members[:k] is a module and no
-    arc jumps from before k to past it: members[:k] then leaves only into
-    members[k], so the slices between split points are modules. A sweep
-    prefix that is a module runs in increasing topo_pos, as its first
-    member not yet taken is always ready, so topo_pos tells how far an
-    arc jumps; only members up to the last proper module are read."""
+def _path_blocks(z, pos, members, sizes):
+    """A level's blocks as a path, or None. members, the level as a run of
+    the sweeps' order, splits at k when members[:k] is a module and no arc
+    jumps from before k to past it: members[:k] then leaves only into
+    members[k], so the slices between split points are modules. Arcs run
+    forward in the order and leave the level past its end, so positions
+    tell how far an arc jumps; only members up to the last proper module
+    are read."""
+    lo = pos[members[0]]
+    end = lo + len(members)
     cuts, reach, start = [0], -1, 0
     for k in sizes:
         if k >= len(members):
             break
         for v in members[start:k]:
             for h in z.out[v].values():
-                if h in inside and topo_pos[h] > reach:
-                    reach = topo_pos[h]
+                at = pos[h]
+                if reach < at < end:
+                    reach = at
         start = k
-        if reach <= topo_pos[members[k]]:
+        if reach <= lo + k:
             cuts.append(k)
     if len(cuts) == 1:
         return None
@@ -425,40 +416,38 @@ def _path_blocks(z, topo_pos, members, inside, sizes):
     return [members[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _path_arcs(z, topo_pos, arc_pos, blocks, inside):
+def _path_arcs(z, pos, arc_pos, blocks):
     """The label and quotient arcs of a level cut into path blocks. Arcs
     entering a module land on its source, so the in-arcs of each block's
     source but the first's are the arcs between blocks: each must come
-    from the block before with the one label. The quotient's arcs are
-    in the order of their first arcs in z.arcs."""
+    from the block before, the run just ahead of it, with the one label.
+    The quotient's arcs are in the order of their first arcs in z.arcs."""
     label, first = None, []
     for j in range(1, len(blocks)):
-        lo, preds = topo_pos[blocks[j - 1][0]], z.preds[blocks[j][0]]
+        lo, preds = pos[blocks[j - 1][0]], z.preds[blocks[j][0]]
         for t, r in preds:
-            if (t not in inside or topo_pos[t] < lo
-                    or label not in (None, r)):
+            if pos[t] < lo or label not in (None, r):
                 raise StructureError("chain quotient is not a uniform path")
             label = r
         first.append((min(arc_pos[t, r] for t, r in preds), j))
     return label, [(j - 1, j, label) for _, j in sorted(first)]
 
 
-def _prime_blocks(topo, inside, sweeps):
+def _prime_blocks(topo, sweeps):
     """The maximal proper modules of the level topo (a topological order
-    of it, with node set inside), disjoint when it is no path, and a
-    singleton for each node in none, each a sweep prefix: in topo order,
-    each node not yet covered takes the largest module of its sweep that
-    is short of the whole level and ends before the sweep first leaves
-    it."""
+    of it), disjoint when it is no path, and a singleton for each node in
+    none, each a sweep prefix: in topo order, each node not yet covered
+    takes the largest module of its sweep that is short of the whole
+    level and ends by the level's end in the sweeps' order."""
     n = len(topo)
+    end = sweeps.pos[topo[0]] + n
     covered, blocks = set(), []
     for v in topo:
         if v in covered:
             continue
-        order, sizes = sweeps(v, n - 1)
-        limit = next((i for i, u in enumerate(order[:n - 1])
-                      if u not in inside), n - 1)
-        k = max(size for size in sizes if size <= limit)
+        stop = min(n - 1, end - sweeps.pos[v])
+        order, sizes = sweeps(v, stop)
+        k = max(size for size in sizes if size <= stop)
         blocks.append(order[:k])
         covered.update(blocks[-1])
     return blocks

@@ -11,6 +11,7 @@ are folded from its first member every time, and automaton emptiness is
 decided on spelled-out edges.
 """
 
+import heapq
 import itertools
 import random
 
@@ -73,6 +74,33 @@ def oracle_modules(z):
                 found.append(frozenset(combo))
     return sorted(found, key=lambda m: (len(m), sorted(m)))
 
+
+
+def oracle_sweep(z, seed, stop=None):
+    """seed's absorption sweep, up to stop nodes, by a heap: grow M from
+    seed by the topologically first node whose every in-arc comes from M.
+    Returns (order, sizes), sizes listing each |M| at which every label
+    sees at most one head of the arcs leaving M, a node missing the label
+    leaving toward the label's own sink."""
+    topo_pos = {v: i for i, v in enumerate(z.topological_order())}
+    stop = len(z.nodes) if stop is None else stop
+    order, cnt, ready = [], {}, [(topo_pos[seed], seed)]
+    while ready and len(order) < stop:
+        u = heapq.heappop(ready)[1]
+        order.append(u)
+        for h in z.out[u].values():
+            cnt[h] = cnt.get(h, 0) + 1
+            if cnt[h] == len(z.preds[h]):
+                heapq.heappush(ready, (topo_pos[h], h))
+    sizes = []
+    for k in range(1, len(order) + 1):
+        taken = set(order[:k])
+        heads = {(r, z.out[v].get(r, ("sink", r))) for v in taken
+                 for r in z.labels()}
+        leaving = [r for r, h in heads if h not in taken]
+        if len(leaving) == len(set(leaving)):
+            sizes.append(k)
+    return order, sizes
 
 def _uniform_path(q):
     """The shared arc label if q is a uniformly-labeled directed path."""

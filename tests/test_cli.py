@@ -432,6 +432,52 @@ def test_check_replace_text_prints_the_counterexample(capsys, monkeypatch):
         "   3  bMid & calm & landed & bright & at & goal & photo"]
 
 
+
+def test_each_format_builds_only_its_own_output(capsys, monkeypatch):
+    # the builders of the format not chosen raise, and every output reads
+    # as from a run with nothing patched
+    import decstruct.cli as cli
+    from decstruct.logic import World
+    from decstruct.modules import DecompositionNode
+    from decstruct.verifier import LassoTrace
+
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    w = ["--world", corpus_path("drone.wld"),
+         "--actions", corpus_path("drone.act")]
+    commands = [[cmd, corpus_path("z3.ds")]
+                for cmd in ("decompose", "classify", "modules")]
+    commands += [["verify", corpus_path("z1.ds"), "--spec",
+                  corpus_path("spec.ltl")] + w,
+                 ["check-replace", "--action", "Descend",
+                  "--with-action", "Land"] + w]
+
+    def outputs(fmt):
+        return [run(capsys, "--format", fmt, *argv) for argv in commands]
+
+    def refuse(*_):
+        raise AssertionError("built for the format not chosen")
+
+    text, json_out = outputs("text"), outputs("json")
+    assert [code for code, _, _ in text] == [0, 0, 0, 1, 1]
+    with monkeypatch.context() as m:
+        for owner, name in ((cli, "_decomp_text"), (cli, "classify_text"),
+                            (cli, "_fmt_modules"), (LassoTrace, "render")):
+            m.setattr(owner, name, refuse)
+        assert outputs("json") == json_out
+    described = []
+    real = World.describe_mask
+    with monkeypatch.context() as m:
+        for owner, name in ((cli, "_json_chunks"),
+                            (cli, "_jsonable_classification"),
+                            (DecompositionNode, "to_dict"),
+                            (LassoTrace, "to_dict")):
+            m.setattr(owner, name, refuse)
+        m.setattr(World, "describe_mask",
+                  lambda self, mask: described.append(mask) or real(self,
+                                                                   mask))
+        assert outputs("text") == text
+    assert len(described) == 1  # the one return's old mask, for its line
+
 def test_check_replace_text_prints_its_notes(capsys, monkeypatch):
     monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
     members = ",".join(structure("k2").node_ids())

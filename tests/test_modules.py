@@ -37,7 +37,7 @@ from decstruct import (
 )
 from conftest import CORPUS, structure
 from oracles import (oracle_decompose, oracle_is_module, oracle_modules,
-                     rand_structure, rand_term, seeded)
+                     oracle_sweep, rand_structure, rand_term, seeded)
 
 
 def chain(n, label="d"):
@@ -357,7 +357,7 @@ def test_decompose_invariant_survives_optimized_python(monkeypatch):
     # after them, which is no path at the top: in the chain a0 -s-> a1
     # -f-> a2 -s-> a3, a2 is entered with f and a3 with s; in skips, v is
     # entered from u and from p, two blocks before it, with one label s
-    def cut(z, topo_pos, members, inside, sizes):
+    def cut(z, pos, members, sizes):
         k = 2 if len(members) > 2 else 1  # no block is the whole level
         return [members[:k]] + [[v] for v in members[k:]]
 
@@ -456,42 +456,70 @@ def alternating_chain(n):
 def test_decompose_sweeps_only_the_source_of_a_chain(monkeypatch):
     # every prefix of a tr chain is a module, so sweeping each node to the
     # chain's end would cost Θ(n²); the level is read off its source alone.
-    # An alternating chain nests a path per node, and each level's second
-    # block is the rest of its level's sweep, so it is not swept again
-    swept = count_sweeps(monkeypatch)
-    for z, children in ((construct_tr(["a%d" % i for i in range(120)]), 120),
-                        (alternating_chain(301), 2)):
-        swept.clear()
+    # An alternating chain nests a path per node, and each level is one
+    # pass over its own run: 301 + 300 + ... + 2 nodes
+    passes = []
+    real = modules._sweeps._sizes
+
+    def counted(self, seed, nodes):
+        passes.append(len(nodes))
+        return real(self, seed, nodes)
+
+    monkeypatch.setattr(modules._sweeps, "_sizes", counted)
+    for z, children, work in (
+            (construct_tr(["a%d" % i for i in range(120)]), 120, (1, 120)),
+            (alternating_chain(301), 2, (300, 45450))):
+        passes.clear()
         d = decompose(z)
         assert d.kind == "path" and len(d.children) == children
-        assert [(seed, stop) for _, seed, stop in swept] == \
-            [(z.source, len(z.nodes))]
+        assert (len(passes), sum(passes)) == work
 
 
-def test_path_blocks_keep_the_order_of_their_own_sweeps(monkeypatch):
-    # a path block's order is the slice of its level's sweep, and the sizes
-    # of one pass over it are those of the block's own sweep
-    kept = []
-    real = modules._sweeps.keep
+def dominated(z, v):
+    """The nodes v dominates, by brute force: v, and those z's source no
+    longer reaches once v is gone."""
+    seen = {z.source} if v != z.source else set()
+    stack = list(seen)
+    while stack:
+        for h in z.out[stack.pop()].values():
+            if h != v and h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return set(z.action_of) - seen
 
-    def recorded(self, block):
-        kept.append((self, block))
-        return real(self, block)
 
-    monkeypatch.setattr(modules._sweeps, "keep", recorded)
-    blocks = 0
-    for z in (random_structures() + kbt_structures() + large_kbt_structures()
-              + nested_structures()):
-        kept.clear()
-        decompose(z)
-        for sweeps, block in kept:
-            n = len(block)
-            order, sizes = sweeps(block[0], n)
-            fresh = modules._sweeps(z)(block[0], n)
-            assert (order[:n], [k for k in sizes if k <= n]) == fresh
-            assert fresh[0] == block
-        blocks += len(kept)
-    assert blocks > 300
+def test_sweeps_are_runs_of_a_dominator_tree_preorder():
+    # the sweeps' order is topological, the nodes each v dominates are one
+    # run of it from v, and v's sweep, full or cut short, has the module
+    # prefixes of the heap sweep by topological order
+    rng = seeded(2121)
+    inputs = kbt_structures() + large_kbt_structures() + nested_structures()
+    for i in range(2000):
+        z = rand_structure(rng, rng.randint(1, 12))
+        if i % 2:
+            nodes, arcs = list(z.nodes), list(z.arcs)
+            rng.shuffle(nodes)
+            rng.shuffle(arcs)
+            z = DecisionStructure(nodes, arcs)
+        inputs.append(z)
+    for z in inputs:
+        sweeps = modules._sweeps(z)
+        order, pos = sweeps.order, sweeps.pos
+        assert sorted(order) == sorted(z.action_of)
+        assert pos == {v: i for i, v in enumerate(order)}
+        assert all(pos[t] < pos[h] for t, h, _ in z.arcs), format(z)
+        for v in z.action_of:
+            run = order[pos[v]:pos[v] + sweeps.span[v]]
+            assert set(run) == dominated(z, v), (format(z), v)
+            got, sizes = sweeps(v)
+            want, want_sizes = oracle_sweep(z, v)
+            assert sizes == want_sizes and got == run[:sizes[-1]]
+            assert all(set(got[:k]) == set(want[:k]) for k in sizes)
+            stop = rng.randint(1, len(run))
+            cut, cut_sizes = modules._sweeps(z)(v, stop)
+            assert cut_sizes == [k for k in sizes if k <= stop] == \
+                oracle_sweep(z, v, stop)[1]
+            assert cut == got[:cut_sizes[-1]]
 
 
 def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
