@@ -23,6 +23,7 @@ parser reads from the operator tables that formatting prints with, on an
 explicit stack.
 """
 
+import functools
 import math
 import re
 
@@ -422,20 +423,26 @@ class World:
             return "true"
         if mask == 0:
             return "false"
+        # The states that agree on the first vi variables are one block of
+        # spans[vi] bits, as the last variable runs fastest; its text
+        # depends only on vi and the mask's bits there, shifted down.
+        spans = [self.n_states]
+        for _, values, _ in self.variables:
+            spans.append(spans[-1] // len(values))
 
-        def go(vi, mask, dom):
-            if not (dom & ~mask):
+        @functools.cache
+        def go(vi, bits):
+            if bits == (1 << spans[vi]) - 1:
                 return "true"
-            if not (dom & mask):
+            if not bits:
                 return "false"
             name, values, is_bool = self.variables[vi]
+            span = spans[vi + 1]
+            low = (1 << span) - 1
             branches = []
             for k, val in enumerate(values):
-                sub_dom = dom & self._atom_masks[(vi, k)]
-                if not sub_dom:
-                    continue
                 atom = (name if k == 0 else "!" + name) if is_bool else val
-                branches.append((atom, go(vi + 1, mask, sub_dom)))
+                branches.append((atom, go(vi + 1, bits >> (k * span) & low)))
             texts = {b for _, b in branches}
             if len(texts) == 1:
                 return texts.pop()
@@ -451,7 +458,7 @@ class World:
                     terms.append("%s & %s" % (atom, sub))
             return " | ".join(terms)
 
-        return go(0, mask, self.full_mask)
+        return go(0, mask)
 
 
 def parse_world(text):
@@ -512,9 +519,8 @@ def parse_actions(text):
     specs = {}
     pos = 0
     block = re.compile(r"\s*action\s+(\w+)\s*\{([^}]*)\}", re.S)
-    while pos < len(text):
-        if not text[pos:].strip():
-            break
+    blank = re.compile(r"\s*\Z")
+    while not blank.match(text, pos):
         m = block.match(text, pos)
         if not m:
             raise FormatError("cannot parse action block near %r"

@@ -18,20 +18,21 @@ size, and quotient checks every block against one context.
 decompose reads one context and builds no sub-structure. Each tree level
 X is the prefix of its source's sweep of length |X|, a run of the order.
 It is cut into path blocks where a module prefix leaves only into the
-next node, or else prime: in topological order, each node not yet
-covered takes its largest module inside X, read off its sweep up to the
-end of X's run (see _path_blocks and _prime_blocks). A path block is a
-run inside its level's run, and the in-arcs of the blocks' sources are
-the quotient's arcs (_path_arcs). A prime level cuts z's out-arcs to X
-and sorts X topologically; its quotient's arcs too are the in-arcs of
-the blocks' sources, those from inside X. A node's requests only shrink
-down the tree, so no sweep is read twice. A work list takes the levels
-in turn, so neither the build nor the tree's readers recurse per level;
-the one structure built per level is its quotient.
+next node, or else prime: from the start of X's run, the node there takes
+its largest module inside X, read off its sweep up to the end of X's run,
+and the next block starts where that one ends (see _path_blocks and
+_prime_blocks). Either way the blocks are runs of X's run, the quotient
+lists them in that order, and its arcs are the in-arcs of the blocks'
+sources but the first (_level_arcs). A node's requests only shrink down
+the tree, so no sweep is read twice. A work list takes the levels in
+turn, so neither the build nor the tree's readers recurse per level; the
+one structure built per level is its quotient.
 """
 
+from bisect import bisect
+
 from .logic import fold
-from .structures import DecisionStructure, StructureError, _toposort
+from .structures import DecisionStructure, StructureError
 
 
 class NotAModule(StructureError):
@@ -227,8 +228,8 @@ def quotient(z, blocks):
 
 
 def _quotient(z, blocks, arcs):
-    """quotient, unchecked: blocks are modules of z ordered by their
-    sources' topological order, and arcs, in order, the arcs among them as
+    """quotient, unchecked: blocks are modules of z with their sources in
+    a topological order, and arcs, in order, the arcs among them as
     (tail block, head block, label), block indexes into blocks."""
     ids = [block_id(b) for b in blocks]
     qnodes = [(bid, z.action_of[next(iter(b))] if len(b) == 1 else bid)
@@ -345,7 +346,6 @@ def decompose(z):
     sweeps alone (see the module docstring)."""
     sweeps = _sweeps(z)
     pos = sweeps.pos
-    node_pos = {v: i for i, v in enumerate(z.action_of)}
     arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
     root = [None]
     todo = [(z.source, len(z.nodes), root, 0)]  # level, and its slot
@@ -357,30 +357,19 @@ def decompose(z):
             continue
         order, sizes = sweeps(source, n)
         members = order[:n]
-        inside = frozenset(members)
         blocks = _path_blocks(z, pos, members, sizes)
-        if blocks:
-            kind = "path"
-            label, arcs = _path_arcs(z, pos, arc_pos, blocks)
-            q = _quotient(z, blocks, arcs)
-        else:
-            kind, label = "prime", None
-            out = {v: {r: h for r, h in z.out[v].items() if h in inside}
-                   for v in members}
-            # a prime quotient's nodes follow the level's toposort as z's
-            # own would run it, from the level's first node in z.nodes
-            blocks = _prime_blocks(
-                _toposort(sorted(members, key=node_pos.get), out), sweeps)
-            # arcs entering a module land on its source, so the arcs
-            # between blocks are the in-arcs of the blocks' sources
-            home = {m: j for j, b in enumerate(blocks) for m in b}
-            arcs = sorted((arc_pos[t, r], home[t], j, r)
-                          for j, b in enumerate(blocks)
-                          for t, r in z.preds[b[0]] if t in inside)
-            q = _quotient(z, blocks, [arc[1:] for arc in arcs])
+        kind = "path" if blocks else "prime"
+        blocks = blocks or _prime_blocks(members, sweeps)
+        arcs = _level_arcs(z, pos, arc_pos, blocks)
+        label = arcs[0][2] if kind == "path" else None
+        if kind == "path" and any(t != h - 1 or r != label
+                                  for t, h, r in arcs):
+            raise StructureError("chain quotient is not a uniform path")
+        q = _quotient(z, blocks, arcs)
+        if kind == "prime":
             at = {qid: j for j, (qid, _) in enumerate(q.nodes)}
             blocks = [blocks[at[qid]] for qid in q.topological_order()]
-        d = slots[i] = DecompositionNode(kind, inside, label=label,
+        d = slots[i] = DecompositionNode(kind, members, label=label,
                                          children=[None] * len(blocks),
                                          quotient=q)
         todo.extend((b[0], len(b), d.children, j)
@@ -416,40 +405,33 @@ def _path_blocks(z, pos, members, sizes):
     return [members[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _path_arcs(z, pos, arc_pos, blocks):
-    """The label and quotient arcs of a level cut into path blocks. Arcs
-    entering a module land on its source, so the in-arcs of each block's
-    source but the first's are the arcs between blocks: each must come
-    from the block before, the run just ahead of it, with the one label.
-    The quotient's arcs are in the order of their first arcs in z.arcs."""
-    label, first = None, []
-    for j in range(1, len(blocks)):
-        lo, preds = pos[blocks[j - 1][0]], z.preds[blocks[j][0]]
-        for t, r in preds:
-            if pos[t] < lo or label not in (None, r):
-                raise StructureError("chain quotient is not a uniform path")
-            label = r
-        first.append((min(arc_pos[t, r] for t, r in preds), j))
-    return label, [(j - 1, j, label) for _, j in sorted(first)]
+def _level_arcs(z, pos, arc_pos, blocks):
+    """The quotient arcs of a level cut into blocks, runs of the sweeps'
+    order in order, as (tail block, head block, label) in the order of
+    their arcs in z.arcs. Arcs entering a module land on its source, so
+    the in-arcs of each block's source but the first's are the arcs
+    between blocks; a tail's block is the last to start at or before it."""
+    starts = [pos[b[0]] for b in blocks]
+    arcs = sorted((arc_pos[t, r], bisect(starts, pos[t]) - 1, j, r)
+                  for j in range(1, len(blocks))
+                  for t, r in z.preds[blocks[j][0]])
+    return [arc[1:] for arc in arcs]
 
 
-def _prime_blocks(topo, sweeps):
-    """The maximal proper modules of the level topo (a topological order
-    of it), disjoint when it is no path, and a singleton for each node in
-    none, each a sweep prefix: in topo order, each node not yet covered
-    takes the largest module of its sweep that is short of the whole
-    level and ends by the level's end in the sweeps' order."""
-    n = len(topo)
-    end = sweeps.pos[topo[0]] + n
-    covered, blocks = set(), []
-    for v in topo:
-        if v in covered:
-            continue
-        stop = min(n - 1, end - sweeps.pos[v])
-        order, sizes = sweeps(v, stop)
+def _prime_blocks(members, sweeps):
+    """The maximal proper modules of the level members, a run of the
+    sweeps' order that is no path, and a singleton for each node in none.
+    They are disjoint, and each is a prefix of its source's run, so they
+    tile the level: from each block's start, the node there takes the
+    largest module of its sweep that is short of the whole level and ends
+    by the level's end, and the next block starts where it ends."""
+    n, j, blocks = len(members), 0, []
+    while j < n:
+        stop = min(n - 1, n - j)
+        _, sizes = sweeps(members[j], stop)
         k = max(size for size in sizes if size <= stop)
-        blocks.append(order[:k])
-        covered.update(blocks[-1])
+        blocks.append(members[j:j + k])
+        j += k
     return blocks
 
 

@@ -510,6 +510,45 @@ def oracle_compile_nnf(world, f, neg=False):
     raise ValueError("cannot compile %r" % (f,))
 
 
+def oracle_describe_mask(world, mask):
+    """World.describe_mask by a branch on every variable in turn, each on
+    the mask of the states its branch keeps, with no memo."""
+    if mask == world.full_mask:
+        return "true"
+    if mask == 0:
+        return "false"
+
+    def go(vi, dom):
+        if not (dom & ~mask):
+            return "true"
+        if not (dom & mask):
+            return "false"
+        name, values, is_bool = world.variables[vi]
+        branches = []
+        for k, val in enumerate(values):
+            sub_dom = dom & world._atom_masks[(vi, k)]
+            if not sub_dom:
+                continue
+            atom = (name if k == 0 else "!" + name) if is_bool else val
+            branches.append((atom, go(vi + 1, sub_dom)))
+        texts = {b for _, b in branches}
+        if len(texts) == 1:
+            return texts.pop()
+        terms = []
+        for atom, sub in branches:
+            if sub == "false":
+                continue
+            if sub == "true":
+                terms.append(atom)
+            elif " | " in sub:
+                terms.append("%s & (%s)" % (atom, sub))
+            else:
+                terms.append("%s & %s" % (atom, sub))
+        return " | ".join(terms)
+
+    return go(0, world.full_mask)
+
+
 _ORACLE_PREC = {"implies": 20, "or": 30, "and": 40, "until": 50}
 
 

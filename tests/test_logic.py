@@ -23,6 +23,7 @@ from decstruct import (
     World,
     build_psi,
     format_formula,
+    load_actions,
     parse_actions,
     parse_ltl,
     parse_world,
@@ -34,9 +35,9 @@ from decstruct import (
 from decstruct.logic import (FALSE, TRUE, compile_nnf, f_and, f_not, f_or,
                              fold, ground)
 from oracles import (LTL_TOKENS, holds_on_lasso, oracle_compile_nnf,
-                     oracle_format_formula, oracle_parse_ltl,
-                     rand_any_formula, rand_ltl_text, rand_tokens,
-                     replay_world, seeded)
+                     oracle_describe_mask, oracle_format_formula,
+                     oracle_parse_ltl, rand_any_formula, rand_ltl_text,
+                     rand_tokens, replay_world, seeded)
 
 
 def test_parse_ltl_precedence():
@@ -200,6 +201,49 @@ def test_describe_mask():
         assert w.mask(parse_ltl(w.describe_mask(probe))) == probe
 
 
+def random_world(rng):
+    """One to five variables, each a bool or a var of two to four values."""
+    variables = []
+    for vi in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            name = "b%d" % vi
+            variables.append((name, (name, "!" + name), True))
+        else:
+            values = ["v%d_%d" % (vi, k) for k in range(rng.randint(2, 4))]
+            variables.append(("V%d" % vi, values, False))
+    return World(variables)
+
+
+def test_describe_mask_matches_the_branching_oracle():
+    rng = seeded(2210)
+    for _ in range(500):
+        w = random_world(rng)
+        atoms = [w.atom_mask(token) for name, values, is_bool in w.variables
+                 for token in ([name] if is_bool else values)]
+        for _ in range(6):
+            if rng.random() < 0.5:
+                mask = rng.getrandbits(w.n_states)
+            else:  # a union of conjunctions of atoms and their negations
+                mask = 0
+                for _ in range(rng.randint(1, 3)):
+                    term = w.full_mask
+                    for a in rng.sample(atoms, rng.randint(1, len(atoms))):
+                        term &= a if rng.random() < 0.5 else w.full_mask ^ a
+                    mask |= term
+            assert w.describe_mask(mask) == oracle_describe_mask(w, mask)
+
+
+def test_describe_mask_skips_the_variables_a_mask_ignores():
+    # the branching oracle takes minutes here: it splits on all 20 bools
+    w = World([("b%d" % i, ("b%d" % i, "!b%d" % i), True) for i in range(20)])
+    start = time.process_time()
+    assert w.describe_mask(w.atom_mask("b19")) == "b19"
+    assert w.describe_mask(w.full_mask ^ w.atom_mask("b19")) == "!b19"
+    mask = w.mask(parse_ltl("b0 & !b19 | b7 & b18"))
+    assert w.mask(parse_ltl(w.describe_mask(mask))) == mask
+    assert time.process_time() - start < 1.0
+
+
 def test_parse_actions():
     specs = parse_actions("""
         # a tiny pair of specifications
@@ -224,6 +268,26 @@ def test_parse_actions_errors():
         parse_actions("action A { returns s: p; } action A { }")
     with pytest.raises(FormatError):
         parse_actions("action A { returns s: p; returns s: q; }")
+
+
+def test_load_actions_reads_a_large_file_in_linear_time(tmp_path):
+    # testing the rest of the text for blank by copying it once per block
+    # made this file cost seconds of CPU
+    n = 32000
+    path = tmp_path / "many.act"
+    path.write_text("".join(
+        "action A%d { model: p%d; returns s: q; }  # block %d\n" % (i, i, i)
+        for i in range(n)) + "\n  \n")
+    start = time.process_time()
+    specs = load_actions(str(path))
+    elapsed = time.process_time() - start
+    assert list(specs) == ["A%d" % i for i in range(n)]
+    assert specs["A31999"].model == ("atom", "p31999")
+    assert specs["A0"].returns == {"s": ("atom", "q")}
+    assert elapsed < 2.0
+    with pytest.raises(FormatError) as err:
+        parse_actions(path.read_text() + "  junk }")
+    assert str(err.value) == "cannot parse action block near 'junk }'"
 
 
 def test_validate_actions_overlap():

@@ -427,10 +427,19 @@ def test_decompose_matches_a_fresh_module_search_per_level():
     for z in inputs:
         got, want = decompose(z), oracle_decompose(z)
         assert got.to_dict() == want.to_dict(), format(z)
+        pos = modules._sweeps(z).pos
         for g, w in zip(got.walk(), want.walk()):
             if not g.is_leaf():
-                assert g.quotient.nodes == w.quotient.nodes
+                # a level lists its blocks by their sources' places in the
+                # sweeps' order, the first of each block's members there
+                start = {block_id(c.members): min(map(pos.get, c.members))
+                         for c in w.children}
+                assert g.quotient.nodes == sorted(
+                    w.quotient.nodes, key=lambda node: start[node[0]])
                 assert g.quotient.arcs == w.quotient.arcs
+                assert g.quotient == w.quotient
+                assert (g.quotient.topological_order()
+                        == w.quotient.topological_order())
 
 
 def count_sweeps(monkeypatch):
