@@ -27,6 +27,17 @@ and no more postponed untils (see _Tableau). It does so in the dict that
 gathers the covers, with no second pass over them. The automaton keeps
 its language, states and SCCs, and in every case tested its state order
 and lassos; the corpus products take half the cover pairs they took.
+
+verify() builds one automaton P of a structure's premises, at its first
+conjunct G p or F p with p propositional, and decides every such conjunct
+on P's fair SCCs. G p fails when an edge of P allows a world state outside
+p and its successor reaches a fair SCC: a bad prefix of a safety property
+(Kupferman & Vardi, FMSD 2001). F p fails when P's edges cut to the states
+outside p hold a fair SCC that they reach from init (fair-cycle detection,
+Emerson & Lei, LICS 1986). Any other conjunct, and every conjunct under a
+bound, gets the automaton of the premises and its negation (entails). The
+stats count each automaton built once, so P counts once for all the
+conjuncts it decides.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
@@ -411,16 +422,18 @@ class _Tableau:
 
 class _Automaton:
     def __init__(self, states, succs, steps, conditions, truncated):
-        # State ids are small ints, given in the order _build first meets
-        # each state; states[id] is (obligation bits, mask) as in _Tableau.
-        # The init state is id 0.
+        # State ids are small ints, given in the order _build queues each
+        # state, so only reached states have one; states[id] is
+        # (obligation bits, mask) as in _Tableau. The init state is id 0.
         self.init = 0
         self.states = states
         # obligation bits -> covers (mask, succ id, accept-bitmask) in
-        # cover order. Once expanded, a state's edges are the covers of
-        # its bits cut to its mask, in the same order. Bit i of the accept
-        # bitmask is set when the cover discharges conditions[i], i.e. the
-        # until was not postponed across this step.
+        # cover order; a successor that no edge reached is named by its
+        # (obligation bits, mask) instead of an id. Once expanded, a
+        # state's edges are the covers of its bits cut to its mask, in the
+        # same order. Bit i of the accept bitmask is set when the cover
+        # discharges conditions[i], i.e. the until was not postponed
+        # across this step.
         self.steps = steps
         # id of each reached state, in queue order -> its edges: the covers
         # of steps[bits] whose mask meets the state's mask, in cover order.
@@ -443,41 +456,57 @@ def _build(world, phi, budget, bound=None):
         # of a valid phi apart from the empty state it steps to.
         init = (0, -1 if phi[1] == world.full_mask else phi[1])
     all_bits = (1 << len(conditions)) - 1
-    states = [init]  # id -> (obligation bits, mask)
+    states = [init]  # id -> (obligation bits, mask); ids in queue order
     ids = {init: 0}
+    depth = [0]
     steps = {}  # obligation bits -> covers before the state's mask filter
+    # obligation bits -> (the union of the masks, the slots) of its covers
+    # that no edge has taken yet
+    untaken = {}
     succs = {}
-    depth = {0: 0}
-    queue = [0]
     truncated = set()
-    qi = 0
-    while qi < len(queue):
-        state = queue[qi]
-        qi += 1
+    state = 0
+    while state < len(states):
+        bits, now = states[state]
         if bound is not None and depth[state] >= bound:
             truncated.add(state)
             succs[state] = []
+            state += 1
             continue
         budget.spend()
-        bits, now = states[state]
         covers = steps.get(bits)
         if covers is None:
-            covers = steps[bits] = []
-            for m, b, n, p in tableau.set_covers(bits):
-                succ = ids.get((b, n))
-                if succ is None:
-                    succ = ids[b, n] = len(states)
-                    states.append((b, n))
-                covers.append((m, succ, all_bits ^ p))
-        outs = succs[state] = [c for c in covers if c[0] & now]
-        # Queue new states in the order of their first edges: the queue
-        # order fixes the order in which obligations are interned, and so
-        # the bits that name each state.
-        d = depth[state] + 1
-        for _, succ, _ in outs:
-            if succ not in depth:
-                depth[succ] = d
-                queue.append(succ)
+            covers = steps[bits] = [(m, (b, n), all_bits ^ p)
+                                    for m, b, n, p in tableau.set_covers(bits)]
+            untaken[bits] = (-1, range(len(covers)))
+        reach, slots = untaken[bits]
+        if reach & now:
+            # A cover names its successor by (bits, mask) until an edge
+            # takes it. A successor gets its id, and its place in the
+            # queue, at the first edge that meets it; the queue order
+            # fixes the order in which obligations are interned, and so
+            # the bits that name each state.
+            reach, left = 0, []
+            for j in slots:
+                m, succ, acc = covers[j]
+                if m & now:
+                    got = ids.get(succ)
+                    if got is None:
+                        got = ids[succ] = len(states)
+                        states.append(succ)
+                        depth.append(depth[state] + 1)
+                    covers[j] = (m, got, acc)
+                else:
+                    reach |= m
+                    left.append(j)
+            untaken[bits] = reach, left
+        succs[state] = [c for c in covers if c[0] & now]
+        state += 1
+    for bits, (_, slots) in untaken.items():  # successors met elsewhere
+        covers = steps[bits]
+        for j in slots:
+            m, succ, acc = covers[j]
+            covers[j] = (m, ids.get(succ, succ), acc)
     return _Automaton(states, succs, steps, conditions, truncated)
 
 
@@ -530,12 +559,12 @@ def _sccs(auto):
     return out
 
 
-def _accepting_sccs(auto):
+def _accepting_sccs(auto, comps=None):
     """SCCs with an internal edge, whose internal edges together discharge
-    every condition."""
+    every condition; of `comps` when given, else of _sccs(auto)."""
     good = []
     all_bits, succs = auto.all_bits, auto.succs
-    for comp in _sccs(auto):
+    for comp in _sccs(auto) if comps is None else comps:
         seen = 0
         internal = False
         for st in comp:
@@ -577,21 +606,28 @@ def _bfs_edges(auto, start, goal, allowed=None):
     return None
 
 
-def _extract_lasso(world, auto, sccs):
-    inside = {}
-    for comp in sccs:
-        for st in comp:
-            inside[st] = comp
+def _inside(sccs):
+    """state id -> the SCC of `sccs` that holds it"""
+    return {st: comp for comp in sccs for st in comp}
 
+
+def _extract_lasso(world, auto, sccs):
+    inside = _inside(sccs)
     if auto.init in inside:
         prefix_edges = []
-        entry = auto.init
     else:
         prefix_edges = _bfs_edges(auto, auto.init,
                                   lambda succ, acc: succ in inside)
-        entry = prefix_edges[-1][1]
-    comp = inside[entry]
+    return _lasso(world, auto, prefix_edges, inside)
 
+
+def _lasso(world, auto, prefix_edges, inside):
+    """The lasso that takes `prefix_edges` from init into an accepting SCC
+    and then cycles there: from the entry state, the shortest path to an
+    edge that discharges each condition in turn that the cycle has not
+    yet discharged, then back to the entry."""
+    entry = prefix_edges[-1][1] if prefix_edges else auto.init
+    comp = inside[entry]
     cycle_edges = []
     cur = entry
     for k in range(len(auto.conditions)):
@@ -613,6 +649,13 @@ def _extract_lasso(world, auto, sccs):
     return LassoTrace(prefix, cycle)
 
 
+def _check_options(bound, limit):
+    if bound is not None and bound < 0:
+        raise LogicError("bound must be 0 or more, got %r" % (bound,))
+    if limit < 0:
+        raise LogicError("limit must be 0 or more, got %r" % (limit,))
+
+
 def entails(world, premises, conclusion, bound=None, limit=DEFAULT_LIMIT):
     """Does every world run satisfying the premises satisfy the conclusion?
 
@@ -620,10 +663,7 @@ def entails(world, premises, conclusion, bound=None, limit=DEFAULT_LIMIT):
     obligation states within that many steps are explored; a pass is then
     conclusive only when the stats report the exploration as exhausted.
     """
-    if bound is not None and bound < 0:
-        raise LogicError("bound must be 0 or more, got %r" % (bound,))
-    if limit < 0:
-        raise LogicError("limit must be 0 or more, got %r" % (limit,))
+    _check_options(bound, limit)
     phi = f_and(list(premises) + [f_not(conclusion)])
     budget = Budget(limit)
     compiled = compile_nnf(world, phi)
@@ -651,29 +691,200 @@ def _premises(z, world, specs):
     return [world.init, ("always", rules), ("always", psi)]
 
 
+def _premise_question(world, c):
+    """("G", m) when c is G p and ("F", m) when c is F p, for a
+    propositional p whose negation has the mask m; None for any other
+    conjunct. The shape is read off the compiled negation of c."""
+    neg = compile_nnf(world, f_not(c))
+    if neg[0] == "until" and neg[1] == ("mask", world.full_mask):
+        op = "G"
+    elif neg[0] == "release" and neg[1] == ("mask", 0):
+        op = "F"
+    else:
+        return None
+    return (op, neg[2][1]) if neg[2][0] == "mask" else None
+
+
+class _PremiseAutomaton:
+    """The automaton P of a structure's premises in a world, which decides
+    every conjunct G p and F p with p propositional. A run of P is a run
+    of the premises when it ends in a fair SCC: one whose internal edges
+    discharge every condition (_accepting_sccs)."""
+
+    def __init__(self, world, premises, limit):
+        budget = Budget(limit)
+        self.world = world
+        self.auto = _build(world, compile_nnf(world, f_and(premises)), budget)
+        self.budget_used = budget.used
+        comps = _sccs(self.auto)
+        self.inside = _inside(_accepting_sccs(self.auto, comps))
+        # the states that reach a fair SCC; _sccs lists each SCC after
+        # every SCC it reaches
+        self.live = live = set(self.inside)
+        succs = self.auto.succs
+        for comp in comps:
+            if any(succ in live for st in comp for _, succ, _ in succs[st]):
+                live |= comp
+
+    def refute(self, op, m):
+        """A counterexample to G p or F p (op "G" or "F"), where m is the
+        mask of not p, or None when the conjunct holds."""
+        return self.always(m) if op == "G" else self.eventually(m)
+
+    def always(self, m):
+        """G p fails when an edge of P takes a world state in m and its
+        successor reaches a fair SCC. The lasso is the one the automaton of
+        the premises and F m would give: _bad_prefix, then the cycle."""
+        auto, live = self.auto, self.live
+        states = auto.states
+        for st, out in auto.succs.items():
+            now = states[st][1] & m
+            if now and any(mask & now and succ in live
+                           for mask, succ, _ in out):
+                break
+        else:
+            return None
+        return _lasso(self.world, auto, _bad_prefix(auto, m, self.inside),
+                      self.inside)
+
+    def eventually(self, m):
+        """F p fails when P's edges cut to m hold a fair SCC that they
+        reach from init; the lasso is that graph's (_cut). Such an SCC
+        lies in a fair SCC of P, so the SCC search runs on the states of
+        P's fair SCCs that the cut edges reach, and the cut graph is built
+        whole only for the lasso."""
+        auto, inside = self.auto, self.inside
+        states, succs = auto.states, auto.succs
+        reach = {auto.init}
+        queue = [auto.init]
+        for st in queue:
+            now = states[st][1] & m
+            for mask, succ, _ in succs[st]:
+                if mask & now and succ not in reach:
+                    reach.add(succ)
+                    queue.append(succ)
+        kept = reach.intersection(inside)
+        inner = {st: [e for e in succs[st]
+                      if e[0] & states[st][1] & m and e[1] in kept]
+                 for st in kept}
+        if not _accepting_sccs(_Automaton(states, inner, None,
+                                          auto.conditions, set())):
+            return None
+        cut = _cut(auto, m)
+        return _extract_lasso(self.world, cut, _accepting_sccs(cut))
+
+
+def _cut(auto, m):
+    """auto with its edges cut to the world states in m, empty ones
+    dropped, and only the states those edges reach from init."""
+    states, succs = auto.states, auto.succs
+    cut = {auto.init: None}
+    queue = [auto.init]
+    for st in queue:
+        now = states[st][1] & m
+        cut[st] = out = [(mask & m, succ, acc)
+                         for mask, succ, acc in succs[st] if mask & now]
+        for _, succ, _ in out:
+            if succ not in cut:
+                cut[succ] = None
+                queue.append(succ)
+    return _Automaton(states, cut, auto.steps, auto.conditions, set())
+
+
+def _bad_prefix(auto, m, inside):
+    """The edges of a shortest path from init that takes a world state in
+    m and then ends on an edge into `inside`. The search runs breadth first
+    over (state, whether m was taken), numbered 2 * state + taken; it takes
+    each state's edges in cover order and, until m is taken, each edge cut
+    to m before the whole edge. The automaton of the premises and F m is
+    explored in this order."""
+    states, succs = auto.states, auto.succs
+    start = 2 * auto.init
+    parent = {start: None}  # node -> (node before, edge mask, edge)
+    queue = [start]
+    for node in queue:
+        taken = node & 1
+        now = states[node >> 1][1]
+        for edge in succs[node >> 1]:
+            mask, succ = edge[0] & now, edge[1]
+            if not taken:
+                bad = mask & m
+                if bad:
+                    if succ in inside:
+                        return _path(parent, node, bad, edge)
+                    if 2 * succ + 1 not in parent:
+                        parent[2 * succ + 1] = node, bad, edge
+                        queue.append(2 * succ + 1)
+                nxt = 2 * succ
+            elif succ in inside:
+                return _path(parent, node, mask, edge)
+            else:
+                nxt = 2 * succ + 1
+            if nxt not in parent:
+                parent[nxt] = node, mask, edge
+                queue.append(nxt)
+    return None
+
+
+def _path(parent, node, mask, edge):
+    """The edges from the search's start to `node`, then `edge` cut to
+    `mask`."""
+    path = [(mask, edge[1], edge[2])]
+    while parent[node] is not None:
+        node, mask, edge = parent[node]
+        path.append((mask, edge[1], edge[2]))
+    return path[::-1]
+
+
 def verify(z, world, specs, phi, bound=None, limit=DEFAULT_LIMIT):
     """Check that every run of the structure in the world satisfies phi.
 
     A top-level conjunction is checked one conjunct at a time, in order,
-    and the first failing conjunct provides the counterexample.
+    and the first failing conjunct provides the counterexample (see
+    _check_conjuncts).
     """
     validate_actions(world, specs)
-    premises = _premises(z, world, specs)
+    return _check_conjuncts(world, _premises(z, world, specs), phi, bound,
+                            limit)
+
+
+def _check_conjuncts(world, premises, phi, bound, limit):
+    """verify() of the premises: does every run that satisfies them
+    satisfy each top-level conjunct of phi, taken in order?
+
+    Without a bound, a conjunct G p or F p with p propositional is decided
+    on one automaton of the premises (_PremiseAutomaton), built at the
+    first such conjunct. Any other conjunct, and every conjunct under a
+    bound, gets its own automaton of the premises and its negation
+    (entails). The stats count each automaton built once.
+    """
+    _check_options(bound, limit)
     conjuncts = list(phi[1]) if phi[0] == "and" else [phi]
     total = {"automaton_states": 0, "budget_used": 0,
              "bounded": bound is not None, "exhausted": True,
              "conjuncts": len(conjuncts)}
+    premise_auto = None
     for i, c in enumerate(conjuncts, 1):
         try:
-            v = entails(world, premises, c, bound=bound, limit=limit)
+            question = None if bound is not None else \
+                _premise_question(world, c)
+            if question is None:
+                v = entails(world, premises, c, bound=bound, limit=limit)
+                total["automaton_states"] += v.stats["automaton_states"]
+                total["budget_used"] += v.stats["budget_used"]
+                total["exhausted"] &= v.stats["exhausted"]
+                trace = v.counterexample
+            else:
+                if premise_auto is None:
+                    premise_auto = _PremiseAutomaton(world, premises, limit)
+                    total["automaton_states"] += len(premise_auto.auto.succs)
+                    total["budget_used"] += premise_auto.budget_used
+                trace = premise_auto.refute(*question)
         except ResourceLimit as exc:
             raise ResourceLimit(limit, (i, len(conjuncts), c)) from exc
-        total["automaton_states"] += v.stats["automaton_states"]
-        total["budget_used"] += v.stats["budget_used"]
-        total["exhausted"] &= v.stats["exhausted"]
-        if not v.holds:
-            return Verdict(False, counterexample=v.counterexample,
-                           conclusion=c, stats=total)
+        if trace is not None:
+            return Verdict(False, counterexample=trace, conclusion=c,
+                           stats=total)
     return Verdict(True, stats=total)
 
 

@@ -8,15 +8,18 @@ position, formulas are compiled and printed by plain recursion, formulas
 and terms are read by recursive descent, tableau products are gathered in
 one flat dict and filtered in a second pass, an obligation set's covers
 are folded from its first member every time, and automaton emptiness is
-decided on spelled-out edges.
+decided on spelled-out edges, and each conjunct a structure is verified
+against gets an entailment of its own.
 """
 
 import heapq
 import itertools
 import random
 
-from decstruct import ArchError, DecisionStructure, FormatError, Leaf, Op, Pred
+from decstruct import (ArchError, DecisionStructure, FormatError, Leaf, Op,
+                       Pred, ResourceLimit, entails)
 from decstruct.logic import World, tokenize_ltl
+from decstruct.verifier import Verdict
 
 
 # -- modules, straight from the definition ----------------------------------
@@ -947,6 +950,29 @@ def oracle_lasso(world, init, edges, accepting, n_conditions):
         cycle += _edge_path(edges, cur, lambda e: e[1] == entry, comp)
     return ([world.min_state(e[0]) for e in prefix],
             [world.min_state(e[0]) for e in cycle])
+
+
+def oracle_verify(world, premises, phi, bound=None, limit=5_000_000):
+    """verify() of the premises as one entailment per conjunct: each
+    top-level conjunct of phi in order gets its own automaton of the
+    premises and its negation, and the first that fails gives the
+    counterexample. The stats sum those automata."""
+    conjuncts = list(phi[1]) if phi[0] == "and" else [phi]
+    total = {"automaton_states": 0, "budget_used": 0,
+             "bounded": bound is not None, "exhausted": True,
+             "conjuncts": len(conjuncts)}
+    for i, c in enumerate(conjuncts, 1):
+        try:
+            v = entails(world, premises, c, bound=bound, limit=limit)
+        except ResourceLimit as exc:
+            raise ResourceLimit(limit, (i, len(conjuncts), c)) from exc
+        total["automaton_states"] += v.stats["automaton_states"]
+        total["budget_used"] += v.stats["budget_used"]
+        total["exhausted"] &= v.stats["exhausted"]
+        if not v.holds:
+            return Verdict(False, counterexample=v.counterexample,
+                           conclusion=c, stats=total)
+    return Verdict(True, stats=total)
 
 
 # -- lasso evaluation ---------------------------------------------------------

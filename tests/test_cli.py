@@ -812,8 +812,10 @@ def corpus_json_commands():
 def test_corpus_json_outputs_are_pinned(capsys, monkeypatch):
     # the sha256 of every command's exit code, stdout and stderr, in
     # order, first computed with json.dumps before the CLI had its own
-    # JSON writer; only the four budget_used values of verify have moved
-    # since, when the tableau began to drop dominated covers
+    # JSON writer; only verify's stats have moved since: the four
+    # budget_used values when the tableau began to drop dominated covers,
+    # and all four stats when verify began to decide both spec conjuncts
+    # on one automaton of the premises
     monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
     digest = hashlib.sha256()
     commands = corpus_json_commands()
@@ -822,4 +824,4 @@ def test_corpus_json_outputs_are_pinned(capsys, monkeypatch):
         digest.update(("%d\0%s\0%s\0" % (code, out, err)).encode())
     assert len(commands) == 82
     assert digest.hexdigest() == \
-        "d66221a556037889081d88f946c1a2521c4920226f9ee85ba9557ced8ee5be1d"
+        "4de4500b5d1a7ff00f1aab1b503ce4b36d8e6e3f43e7fd481c71fe73d6061a04"

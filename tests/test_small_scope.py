@@ -5,7 +5,9 @@ are in topological order and whose actions a0, a1, ... are distinct: up
 to 5 nodes over the labels {s, f} and up to 4 over {s, f, m}. The terms
 are every compressed operator term over the leaves a0 .. a(k-1), in every
 leaf order, for the same bounds. A structure is a k-BT exactly when one
-of those terms builds it, and its extracted term must rebuild it.
+of those terms builds it, and its extracted term must rebuild it. It is
+a TR program exactly when a one-label term builds it, and its action list
+is then that term's leaves in order.
 """
 
 import itertools
@@ -66,27 +68,44 @@ def shape(z):
                       for t, h, r in z.arcs))
 
 
+def term_labels(term):
+    """The labels of the operators in term."""
+    if isinstance(term, Leaf):
+        return set()
+    return {term.label}.union(*(term_labels(c) for c in term.children))
+
+
 def test_small_structures_match_the_oracles_and_the_kbt_claim():
     terms, built, inputs = 0, set(), []
+    chains = {}  # shape built by a one-label term -> its leaves in order
     for labels, most in BOUNDS:
         for n in range(1, most + 1):
             for leaves in itertools.permutations("a%d" % i for i in range(n)):
                 for term in compressed_terms(leaves, labels):
                     terms += 1
                     built.add(shape(construct_kbt(term)))
+                    if len(term_labels(term)) <= 1:
+                        chains[shape(construct_kbt(term))] = list(leaves)
             inputs.extend(small_structures(labels, n))
     # the sizes of the enumeration at these bounds; the {s, f} terms of up
     # to 4 leaves are counted twice and build the same structures
     assert (len(inputs), terms, len(built)) == (1045 + 952, 11369 + 2329,
                                                 13129)
-    kbts = 0
+    kbts = trs = 0
     for z in inputs:
         assert find_modules(z) == oracle_modules(z), z.arcs
         assert decompose(z).to_dict() == oracle_decompose(z).to_dict(), \
             z.arcs
         result = classify(z)
         assert result["is_kbt"] == (shape(z) in built), z.arcs
+        # a TR program is a one-label term, and its list is the chain
+        assert result["is_tr"] == (shape(z) in chains), z.arcs
+        assert result["tr"] == chains.get(shape(z)), z.arcs
+        trs += result["is_tr"]
         if result["is_kbt"]:
             kbts += 1
             assert structurally_equivalent(construct_kbt(result["kbt"]), z)
     assert 0 < kbts < len(inputs)
+    # the one-node structure, and for 2 to 5 nodes over {s, f} and 2 to 4
+    # over {s, f, m} one chain per label
+    assert trs == (1 + 4 * 2) + (1 + 3 * 3)

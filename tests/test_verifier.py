@@ -26,13 +26,14 @@ from decstruct import (
 from decstruct import logic, verifier
 from decstruct.logic import f_and, f_not
 from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
-                                _bfs_edges, _build, _extract_lasso, _premises,
-                                _sccs, compile_nnf)
+                                _bfs_edges, _build, _check_conjuncts,
+                                _extract_lasso, _premises, _sccs, compile_nnf)
 from conftest import structure
 from oracles import (all_lassos, bfs_order, concrete_edges, flat_merge,
                      flat_product, holds_on_lasso, kosaraju_sccs,
                      oracle_accepting_sccs, oracle_lasso, oracle_set_covers,
-                     oracle_undominated, rand_entailment, replay_world, seeded,
+                     oracle_undominated, oracle_verify, rand_entailment,
+                     rand_formula, replay_world, seeded,
                      unfiltered_merge, unfiltered_product)
 
 
@@ -614,6 +615,157 @@ def test_bounded_verify_is_pinned(world, specs, spec_formula):
                            "bounded": True, "exhausted": False,
                            "conjuncts": 2}, (name, bound)
         assert (tr and (tr.prefix, tr.cycle)) == lasso, (name, bound)
+
+
+def test_build_numbers_only_the_states_it_reaches(world, specs,
+                                                 spec_formula):
+    # z2's first conjunct: the init state and the successors its covers
+    # name are 1,793 states, of which the states' edges reach 1,169; only
+    # those have an id
+    for name in ("z1", "z2"):
+        premises = _premises(structure(name), world, specs)
+        for c in spec_formula[1]:
+            auto = automaton(world, premises, c)
+            assert len(auto.states) == len(auto.succs)
+            assert list(auto.succs) == list(range(len(auto.states)))
+    assert len(auto.states) == 1137
+    auto = automaton(world, _premises(structure("z2"), world, specs),
+                     spec_formula[1][0])
+    named = {succ for covers in auto.steps.values() for _, succ, _ in covers}
+    assert (len(auto.states), len(named | {auto.init})) == (1169, 1793)
+    assert named - set(auto.succs) == {
+        succ for succ in named if isinstance(succ, tuple)}
+
+
+def rand_prop(rng, atoms, depth):
+    """A random propositional formula: atoms, now and then true or false,
+    under not, and, or."""
+    pick = rng.random()
+    if depth <= 0 or pick < 0.3:
+        return ("atom", rng.choice(atoms)) if rng.random() < 0.9 else \
+            (rng.choice(("true", "false")),)
+    if pick < 0.45:
+        return ("not", rand_prop(rng, atoms, depth - 1))
+    return (rng.choice(("and", "or")), (rand_prop(rng, atoms, depth - 1),
+                                        rand_prop(rng, atoms, depth - 1)))
+
+
+def rand_g_or_f(rng, atoms, depth):
+    """G p or F p for a random propositional p; one in five is spelled
+    !F !p or !G !p."""
+    p = rand_prop(rng, atoms, depth)
+    op = rng.choice(("always", "eventually"))
+    if rng.random() < 0.2:
+        dual = "eventually" if op == "always" else "always"
+        return ("not", (dual, ("not", p)))
+    return (op, p)
+
+
+def world_atoms(world):
+    return [name if is_bool else v for name, values, is_bool in world.variables
+            for v in ([name] if is_bool else values)]
+
+
+def same_as_the_oracle(world, premises, phi, alone=None):
+    """_check_conjuncts against oracle_verify on an unbounded question
+    whose conjuncts are all G p or F p; returns (whether it fails, whether
+    its trace is the oracle's). The stats count one automaton of the
+    premises alone: the one entails builds for a conclusion that never
+    holds, whose stats `alone` gives when known."""
+    v = _check_conjuncts(world, premises, phi, None, 5_000_000)
+    want = oracle_verify(world, premises, phi)
+    assert v.holds == want.holds, (premises, phi)
+    alone = alone or entails(world, premises, ("false",)).stats
+    assert v.stats == dict(want.stats, automaton_states=alone[
+        "automaton_states"], budget_used=alone["budget_used"])
+    if v.holds:
+        return False, False
+    assert v.conclusion == want.conclusion
+    tr = v.counterexample
+    for f in premises:
+        assert holds_on_lasso(world, f, tr.prefix, tr.cycle), (premises, phi)
+    assert not holds_on_lasso(world, v.conclusion, tr.prefix, tr.cycle)
+    got = (tr.prefix, tr.cycle)
+    return True, got == (want.counterexample.prefix,
+                         want.counterexample.cycle)
+
+
+# Questions whose only edge into a state outside p leads to a fair SCC
+# through two SCCs that are not fair.
+FAR_FROM_FAIR = [(["m1 & X !m1 & X X !m1 & X X X G m0"], "G !m1"),
+                 (["m1 & X (!m1 & X (!m1 & X (!m1 & X G m0)))"], "G !m1")]
+
+
+def test_premise_questions_are_read_off_the_compiled_negation():
+    w, _ = replay_world()
+    p, full = w.mask(parse_ltl("p")), w.full_mask
+    for text, want in [("G p", ("G", full ^ p)), ("!F !p", ("G", full ^ p)),
+                       ("F p", ("F", full ^ p)), ("!G !p", ("F", full ^ p)),
+                       ("true U p", ("F", full ^ p)), ("G true", ("G", 0)),
+                       ("F false", ("F", full)), ("G (p & !p)", ("G", full)),
+                       ("!(q U p)", None), ("p U q", None), ("G X p", None),
+                       ("F G p", None), ("G (p U q)", None), ("X G p", None),
+                       ("p", None)]:
+        assert verifier._premise_question(w, parse_ltl(text)) == want, text
+
+
+def test_g_and_f_conjuncts_match_one_entailment_each(world, specs):
+    """G p and F p conjuncts, decided on one automaton of the premises,
+    get the verdicts and the failing conjunct of one entailment per
+    conjunct, and counterexamples that satisfy the premises and refute
+    the conjunct. Counts are (questions, failures, traces equal to the
+    entailment's)."""
+    rng = seeded(606)
+    w, atoms = replay_world()
+    counts = [0, 0, 0]
+    for _ in range(400):
+        premises = [rand_formula(rng, atoms, rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 2))]
+        phi = f_and([rand_g_or_f(rng, atoms, rng.randint(0, 2))
+                     for _ in range(rng.randint(1, 3))])
+        fails, same = same_as_the_oracle(w, premises, phi)
+        counts[0] += 1
+        counts[1] += fails
+        counts[2] += same
+    assert counts == [400, 348, 281]
+    for premises, conclusion in FAR_FROM_FAIR:
+        assert same_as_the_oracle(w, [parse_ltl(f) for f in premises],
+                                  parse_ltl(conclusion)) == (True, True)
+    drone = world_atoms(world)
+    counts = [0, 0, 0]
+    for name in ("z1", "z2", "z3", "z4"):
+        premises = _premises(structure(name), world, specs)
+        alone = entails(world, premises, ("false",)).stats
+        for _ in range(2):
+            phi = f_and([rand_g_or_f(rng, drone, 2) for _ in range(2)])
+            fails, same = same_as_the_oracle(world, premises, phi, alone)
+            counts[0] += 1
+            counts[1] += fails
+            counts[2] += same
+    assert counts == [8, 7, 7]
+
+
+def test_the_first_failing_conjunct_in_spec_order_is_reported():
+    """G p, p U q and F p conjuncts that all fail, with conjuncts that
+    hold among them, in every order: the first failing conjunct is the one
+    reported, with its own counterexample."""
+    w = w2()
+    failing = [parse_ltl("G p"), parse_ltl("p U q"), parse_ltl("F p")]
+    holding = [parse_ltl("G (p | !p)"), parse_ltl("X (q | !q)")]
+    premises = [parse_ltl("G (p -> X !p)")]
+    for order in itertools.permutations(failing):
+        for spec in (list(order), holding[:1] + list(order[:2]) +
+                     holding[1:] + list(order[2:])):
+            v = _check_conjuncts(w, premises, f_and(spec), None, 5_000_000)
+            assert v.conclusion == order[0], spec
+            want = oracle_verify(w, premises, f_and(spec))
+            assert v.conclusion == want.conclusion
+            tr = v.counterexample
+            assert holds_on_lasso(w, premises[0], tr.prefix, tr.cycle)
+            assert not holds_on_lasso(w, order[0], tr.prefix, tr.cycle)
+            if order[0][0] == "until":
+                alone = entails(w, premises, order[0]).counterexample
+                assert (tr.prefix, tr.cycle) == (alone.prefix, alone.cycle)
 
 
 def test_bfs_edges_takes_new_states_in_cover_order():
