@@ -622,15 +622,14 @@ def test_build_numbers_only_the_states_it_reaches(world, specs,
     # z2's first conjunct: the init state and the successors its covers
     # name are 1,793 states, of which the states' edges reach 1,169; only
     # those have an id
+    autos = {}
     for name in ("z1", "z2"):
         premises = _premises(structure(name), world, specs)
-        for c in spec_formula[1]:
-            auto = automaton(world, premises, c)
+        for k, c in enumerate(spec_formula[1]):
+            auto = autos[name, k] = automaton(world, premises, c)
             assert len(auto.states) == len(auto.succs)
             assert list(auto.succs) == list(range(len(auto.states)))
-    assert len(auto.states) == 1137
-    auto = automaton(world, _premises(structure("z2"), world, specs),
-                     spec_formula[1][0])
+    auto = autos["z2", 0]
     named = {succ for covers in auto.steps.values() for _, succ, _ in covers}
     assert (len(auto.states), len(named | {auto.init})) == (1169, 1793)
     assert named - set(auto.succs) == {
