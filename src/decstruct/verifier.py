@@ -15,10 +15,14 @@ state's edges are the covers of its obligation set, in cover order, as
 (mask, successor id, accept bits), less those whose mask misses the
 state's own; they are the very tuples the obligation set keeps, so a
 state costs one list. Each distinct obligation set is normalized once,
-and gets its covers once, per tableau. The covers of a set are the
-product of its members' covers in key order, and the tableau keeps the
-product of every member prefix that a second set asks for, so the sets
-that share that prefix start from it.
+and gets its covers once, per tableau. Normalizing drops each member
+that another member implies, by a syntactic relation built once per
+formula (see _Tableau; Somenzi & Bloem, CAV 2000). A set is the
+conjunction of its members, so it stays the same formula: the verdicts
+stay, and on the corpus the automata too; only fewer products run. The
+covers of a set are the product of its members' covers in key order, and
+the tableau keeps the product of every member prefix that a second set
+asks for, so the sets that share that prefix start from it.
 
 Products and unions of covers share one gathering loop, a union being
 the product with the unit cover, and it drops each cover that another
@@ -153,6 +157,18 @@ def _key(g, parts):
     return (op, *parts)
 
 
+def _members(bits):
+    """The indices of the set bits of `bits`, lowest first. Each step
+    takes the lowest set bit, so a set costs its members, not its
+    highest index."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def _covers(out, side):
     """The covers that _Tableau.gather collected, less the dominated ones
     (see _Tableau). `out` maps (next bits, next mask) to [state mask,
@@ -214,7 +230,8 @@ class _Tableau:
     """Turns obligation sets into covers.
 
     Every obligation is interned to a bit index, so a set of them is an
-    int; masks get an index only so that their covers are memoized. A
+    int; masks get an index only so that their covers are memoized and
+    their rows of `implied` (below) are built. A
     cover is (state mask, next bits, next mask, pending): the states it
     allows now, the obligations and the mask it leaves for the next step,
     and the untils whose discharge it postpones, as bits over
@@ -224,6 +241,18 @@ class _Tableau:
     untils are numbered in repr order. One walk over phi gives every
     subformula a key that sorts as its repr (_key), with mask digits
     beyond Python's int-string limit.
+
+    norm drops each member of a set that another member implies. Row i
+    of `implied` holds the bits of the formulas that hold wherever
+    formula i holds, its own bit too: a conjunction implies what its
+    parts imply; a disjunction what every disjunct implies; a U t what
+    both a and t imply, since t holds now or a does; a R t what t
+    implies, since t holds now; and t, with all that implies t, implies
+    a U t. The relation is transitive, and it has no cycle: a U t leaves
+    its own target out of its row, for when a implies t the until is t
+    itself, and it is the until that goes. So the members that no member
+    implies stay, and they imply the rest, which leaves the set the same
+    formula.
 
     Pruning drops dominated covers in every product and merge: c2 =
     (m2, b, n, p2) goes when some c1 = (m1, b, n, p1) has m2 within m1
@@ -276,32 +305,67 @@ class _Tableau:
         self.formulas = []   # bit index -> formula
         self.keys = []       # bit index -> _key, the order of set_covers
         self.memo = []       # bit index -> covers, once computed
-        self.targets = []    # (until bit, target bit), non-mask targets
-        # bits -> norm(bits). intern() adds an until's pair to `targets`
-        # when it creates the until's bit, so no bits value met before
-        # then holds that bit, and no entry ever goes stale.
+        # bit index -> the bits of the formulas it implies, its own too
+        self.implied = []
+        # bits -> norm(bits). A row of `implied` only ever gains the bit of
+        # a formula interned then, which no bits value met before holds,
+        # so no entry ever goes stale.
         self.normed = {}
         self.prefixes = {}   # prefix bits -> (covers, budget it took)
         self.asked = set()   # prefix bits asked for once, not yet kept
 
     def intern(self, f):
+        """The bit index of f. Each subformula of f without one is interned
+        first, parts before wholes, so that its row of `implied` is built
+        from its parts' rows."""
         i = self.index.get(f)
         if i is None:
-            i = self.index[f] = len(self.formulas)
-            self.formulas.append(f)
-            self.keys.append(self.key[id(f)])
-            self.memo.append(None)
-            if f[0] == "until" and f[2][0] != "mask":
-                self.targets.append((1 << i, 1 << self.intern(f[2])))
+            i = fold(f, self._add)
+        return i
+
+    def _add(self, f, parts):
+        """Intern f, whose parts have the bit indices `parts`, and set its
+        row of `implied`; an until also joins the row of every formula
+        that implies its target."""
+        i = self.index.get(f)
+        if i is not None:
+            return i
+        i = self.index[f] = len(self.formulas)
+        self.formulas.append(f)
+        self.keys.append(self.key[id(f)])
+        self.memo.append(None)
+        implied, bit, op = self.implied, 1 << i, f[0]
+        row = bit
+        if op == "and":
+            for p in parts:
+                row |= implied[p]
+        elif op == "or":
+            both = implied[parts[0]]
+            for p in parts[1:]:
+                both &= implied[p]
+            row |= both
+        elif op == "release":
+            row |= implied[parts[1]]
+        elif op == "until":
+            # t implies a U t, and so does all that implies t. When a
+            # implies t, a U t is t, and it is the until that goes.
+            a, t = parts
+            target = 1 << t
+            row |= implied[a] & implied[t] & ~target
+            for j, got in enumerate(implied):
+                if got & target:
+                    implied[j] = got | bit
+        implied.append(row)
         return i
 
     def norm(self, bits):
-        """Drop any until whose target is itself an obligation in the set,
-        since the target already entails the until one step from now."""
+        """Drop each member that another member implies (see _Tableau):
+        the set is the conjunction of its members, and what is dropped is
+        implied by a member that stays, so it stays the same formula."""
+        implied = self.implied
         drop = 0
-        for u, t in self.targets:
-            if bits & u and bits & t:
-                drop |= u
+        for i in _members(bits):
+            drop |= implied[i] ^ 1 << i
         return bits & ~drop
 
     def merge(self, covers):
@@ -393,8 +457,7 @@ class _Tableau:
     def set_covers(self, bits):
         """Covers of a conjunction of non-mask obligations, multiplied on
         from the longest kept prefix of its members in key order."""
-        members = [i for i in range(bits.bit_length()) if bits >> i & 1]
-        members.sort(key=self.keys.__getitem__)
+        members = sorted(_members(bits), key=self.keys.__getitem__)
         heads, head = [], 0  # heads[j]: the bits of members[:j + 1]
         for i in members:
             head |= 1 << i

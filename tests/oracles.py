@@ -7,7 +7,8 @@ interpreter, temporal formulas are evaluated on lasso words position by
 position, formulas are compiled and printed by plain recursion, formulas
 and terms are read by recursive descent, tableau products are gathered in
 one flat dict and filtered in a second pass, an obligation set's covers
-are folded from its first member every time, and automaton emptiness is
+are folded from its first member every time, obligation sets drop only
+the untils whose targets they hold, and automaton emptiness is
 decided on spelled-out edges, and each conjunct a structure is verified
 against gets an entailment of its own.
 """
@@ -805,6 +806,19 @@ def oracle_undominated(out):
     if any(slot[j] < j for j in kept):
         kept.sort(key=slot.__getitem__)
     return [covers[j] for j in kept]
+
+
+def oracle_norm(tableau, bits):
+    """_Tableau.norm as it was before it dropped every member another
+    member implies: it drops only each until whose target is itself a
+    member, a mask target never being one."""
+    drop = 0
+    for i, f in enumerate(tableau.formulas):
+        if bits >> i & 1 and f[0] == "until" and f[2][0] != "mask":
+            target = tableau.index.get(f[2])
+            if target is not None and bits >> target & 1:
+                drop |= 1 << i
+    return bits & ~drop
 
 
 def oracle_set_covers(tableau, bits):

@@ -31,9 +31,9 @@ from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
 from conftest import structure
 from oracles import (all_lassos, bfs_order, concrete_edges, flat_merge,
                      flat_product, holds_on_lasso, kosaraju_sccs,
-                     oracle_accepting_sccs, oracle_lasso, oracle_set_covers,
-                     oracle_undominated, oracle_verify, rand_entailment,
-                     rand_formula, replay_world, seeded,
+                     oracle_accepting_sccs, oracle_lasso, oracle_norm,
+                     oracle_set_covers, oracle_undominated, oracle_verify,
+                     rand_entailment, rand_formula, replay_world, seeded,
                      unfiltered_merge, unfiltered_product)
 
 
@@ -127,7 +127,7 @@ def test_valid_propositional_phi_keeps_its_init_state():
 # world of the lasso checks: each verdict, automaton size, budget used and
 # counterexample, one repr per line.
 REPLAY_DIGEST = \
-    "091572809be00b6cce84d0ce1ae253b9082824528850b48e0636045c97cecda7"
+    "e0df385e9f02a06d6b9acf77a1d3b3b87ca83285231ed188c8e647ae16a488ae"
 
 
 def test_entails_observables_are_pinned():
@@ -215,8 +215,8 @@ CONJUNCT_EDGES = {
 # its edges list successors in different orders. The first two hold; the
 # others fail.
 REORDERED = [
-    (["(q | X X p) & (m0 & F (m1 U m2))", "!X (q & m2)"],
-     "F (X G m1 | (m0 & m0) U X m2)"),
+    (["G (F (m1 & q) & (q & q) U !p)", "(m0 | !!m2) & q"],
+     "p | F (G m1 U X m1)"),
     (["F G (m0 & m0)", "G X F m2"],
      "(F m0 | !X q) & (X m2 & m1 | F m0 & !m1)"),
     (["X F m0 U ((q U m1) U (p | p) | F (m0 | m0))", "!X m0 U X p"],
@@ -256,7 +256,13 @@ def test_automaton_matches_checks_on_spelled_out_edges():
         assert any(first_met(auto, st) !=
                    list(dict.fromkeys(succ for _, succ, _ in out))
                    for st, out in concrete_edges(auto).items())
-    check_automaton(w, parsed_automaton(w, *FIRST_GOAL_EDGE))
+    auto = parsed_automaton(w, *FIRST_GOAL_EDGE)
+    check_automaton(w, auto)
+    inside = verifier._inside(_accepting_sccs(auto))
+    assert auto.init not in inside
+    goal = lambda succ, acc: succ in inside  # noqa: E731
+    assert _bfs_edges(auto, auto.init, goal) != \
+        _bfs_edges(by_successor(auto), auto.init, goal)
     auto = parsed_automaton(w, *UNION_OVERSTATES)
     check_automaton(w, auto)
     unions = []
@@ -277,6 +283,17 @@ def first_met(auto, st):
     reached = {succ for mask, succ, _ in auto.steps[bits] if mask & now}
     return [succ for succ in dict.fromkeys(c[1] for c in auto.steps[bits])
             if succ in reached]
+
+
+def by_successor(auto):
+    """auto with each state's edges taken successor by successor, each
+    successor where the state's covers first meet it."""
+    succs = {}
+    for st, out in auto.succs.items():
+        order = first_met(auto, st)
+        succs[st] = sorted(out, key=lambda edge: order.index(edge[1]))
+    return _Automaton(auto.states, succs, auto.steps, auto.conditions,
+                      auto.truncated)
 
 
 def keeping_every_cover(monkeypatch, *question):
@@ -400,7 +417,7 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
     for _ in range(300):
         automaton(w, *rand_entailment(rng, atoms))
     rng = seeded(606)
-    for _ in range(400):
+    for _ in range(600):
         automaton(w, *rand_entailment(rng, atoms, depth=5))
     assert calls[0] > 15_000 and calls[1] > 500
     assert sets[0] > 7_000 and sets[1] > 4_000
@@ -408,7 +425,12 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
     real = verifier._undominated
     monkeypatch.setattr(verifier, "_undominated",
                         lambda covers: general.append(covers) or real(covers))
-    tableau = verifier._Tableau(w, Budget(10 ** 6), ("mask", w.full_mask))
+    # the covers below name bits 0 to 2, which norm reads: they are the
+    # first three formulas interned here, none of which implies another
+    phi = compile_nnf(w, parse_ltl("X p & X X q"))
+    tableau = verifier._Tableau(w, Budget(10 ** 6), phi)
+    tableau.intern(phi)
+    assert tableau.implied[:3] == [1, 2, 4]
     full = w.full_mask
     groups = [
         # neither cover dominates the other: both stay in their slots
@@ -592,17 +614,17 @@ def test_dropping_dominated_covers_changes_no_observable(monkeypatch):
 # own path through the build, the SCC search and the lasso search.
 BOUNDED_RUNS = {
     ("z1", 1): (True, 130, 1819, None),
-    ("z1", 2): (True, 778, 89999, None),
-    ("z1", 3): (False, 2210, 225015,
+    ("z1", 2): (True, 778, 48377, None),
+    ("z1", 3): (False, 2210, 121947,
                 ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
                  [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
-    ("z1", 5): (False, 3314, 312169,
+    ("z1", 5): (False, 3314, 166297,
                 ([(3, 1, 1, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)],
                  [(2, 0, 0, 2, 1, 0, 1), (2, 0, 0, 2, 1, 0, 1)])),
     ("z2", 1): (True, 114, 1791, None),
-    ("z2", 2): (True, 658, 91275, None),
-    ("z2", 3): (True, 1538, 180087, None),
-    ("z2", 5): (True, 2306, 223769, None),
+    ("z2", 2): (True, 658, 50053, None),
+    ("z2", 3): (True, 1538, 93329, None),
+    ("z2", 5): (True, 2306, 120813, None),
 }
 
 
@@ -726,7 +748,7 @@ def test_g_and_f_conjuncts_match_one_entailment_each(world, specs):
         counts[0] += 1
         counts[1] += fails
         counts[2] += same
-    assert counts == [400, 348, 281]
+    assert counts == [400, 348, 280]
     for premises, conclusion in FAR_FROM_FAIR:
         assert same_as_the_oracle(w, [parse_ltl(f) for f in premises],
                                   parse_ltl(conclusion)) == (True, True)
@@ -834,7 +856,7 @@ def test_mask_digits_have_no_length_limit():
         assert back == n
 
 
-def test_norm_memo_matches_the_final_targets(monkeypatch):
+def test_norm_memo_matches_the_final_implications(monkeypatch):
     tableaux = []
 
     class Recorded(verifier._Tableau):
@@ -855,6 +877,117 @@ def test_norm_memo_matches_the_final_targets(monkeypatch):
             assert tableau.norm(bits) == normed
     assert any(bits != normed for tableau in tableaux
                for bits, normed in tableau.normed.items())
+
+
+def test_norm_drops_each_member_another_member_implies():
+    w = w2()
+
+    def kept(*texts):
+        """The members of the set of the compiled texts that norm keeps, on
+        a tableau over their conjunction, whose parts it interns in order."""
+        parts = [compile_nnf(w, parse_ltl(text)) for text in texts]
+        phi = ("and", tuple(parts))
+        tableau = verifier._Tableau(w, Budget(0), phi)
+        tableau.intern(phi)
+        bits = [1 << tableau.index[f] for f in parts]
+        normed = tableau.norm(sum(bits))
+        return [text for text, bit in zip(texts, bits) if normed & bit]
+
+    u = "X p"
+    for whole in ("G (q & X p)", "(q & X p) | (!q & X p)",
+                  "(q & X p) U (X q & X p)"):
+        assert kept(whole, u) == [whole]
+    assert kept("q U X p", u) == [u]
+    # a U t with a implying t is t: the until goes, and t stays
+    assert kept("(X p & X q) U X p", u) == [u]
+    for other in ("X X p", "(q & X p) | X q", "X p U q"):
+        assert kept(other, u) == [other, u]
+    # G (q & X p) implies X p, which implies q U X p, whichever of the
+    # two members is interned first
+    assert kept("G (q & X p)", "q U X p") == ["G (q & X p)"]
+    assert kept("q U X p", "G (q & X p)") == ["G (q & X p)"]
+
+
+def building_with_the_until_target_rule(monkeypatch, build, *args):
+    """build(*args), with obligation sets that drop only the untils whose
+    targets they hold (oracle_norm)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier._Tableau, "norm", oracle_norm)
+        return build(*args)
+
+
+def test_dropping_implied_members_keeps_every_verdict(monkeypatch):
+    """Random questions get the verdicts of obligation sets that drop only
+    the untils whose targets they hold, with automata of no more states,
+    and counterexamples that satisfy the premises and refute the
+    conclusion. Counts are (questions, failures, smaller automata,
+    counterexamples that moved)."""
+    w, atoms = replay_world()
+    counts = [0, 0, 0, 0]
+    for depth, n in ((None, 300), (5, 400)):
+        rng = seeded(606)
+        for _ in range(n):
+            premises, conclusion = rand_entailment(rng, atoms, depth=depth)
+            v = entails(w, premises, conclusion)
+            want = building_with_the_until_target_rule(
+                monkeypatch, entails, w, premises, conclusion)
+            assert v.holds == want.holds, (premises, conclusion)
+            states = v.stats["automaton_states"]
+            assert states <= want.stats["automaton_states"]
+            counts[0] += 1
+            counts[2] += states < want.stats["automaton_states"]
+            if v.holds:
+                continue
+            tr, old = v.counterexample, want.counterexample
+            for f in premises:
+                assert holds_on_lasso(w, f, tr.prefix, tr.cycle)
+            assert not holds_on_lasso(w, conclusion, tr.prefix, tr.cycle)
+            counts[1] += 1
+            counts[3] += (tr.prefix, tr.cycle) != (old.prefix, old.cycle)
+    assert counts == [700, 607, 140, 23]
+
+
+def shape(auto):
+    """An automaton with its obligation bits left out: each state's mask
+    in queue order, and each state's (mask, successor id, accept) edges."""
+    return ([auto.states[st][1] for st in auto.succs],
+            list(auto.succs.values()))
+
+
+def test_corpus_automata_equal_the_until_target_rule_builds(
+        monkeypatch, world, specs, spec_formula):
+    """On the corpus, dropping every member another member implies builds
+    the automata that dropping only untils with their targets builds, up
+    to the bits that name obligations: the premise automaton of z1-z4,
+    each spec conjunct's automaton, and the behavioral automaton of each
+    check-replace question of the drone benchmark."""
+    questions = []
+    real = verifier.entails
+
+    def recording(world, premises, conclusion, **options):
+        questions.append((premises, conclusion))
+        return real(world, premises, conclusion, **options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "entails", recording)
+        check_module_replacement(
+            structure("z2"), "b0 bLow calm bHigh bright Avoid Land".split(),
+            structure("q"), world, specs)
+        check_module_replacement(
+            structure("z3"),
+            "goal at Photograph Descend Ascend GoTo Circle".split(),
+            structure("q2"), world, specs)
+        check_action_replacement(world, specs, "Descend", "Land")
+    assert len(questions) == 3
+    builds = [(automaton, world, *question) for question in questions]
+    for name in ("z1", "z2", "z3", "z4"):
+        premises = _premises(structure(name), world, specs)
+        builds.append((_build, world, compile_nnf(world, f_and(premises)),
+                       Budget(5_000_000)))
+        builds += [(automaton, world, premises, c) for c in spec_formula[1]]
+    for build, *args in builds:
+        assert shape(build(*args)) == shape(building_with_the_until_target_rule(
+            monkeypatch, build, *args))
 
 
 def test_entails_bound_reports_non_exhaustive():
@@ -990,7 +1123,7 @@ def test_action_replacement_unknown_action():
 # actions, one repr per line: the verdict, each return value's masks,
 # the behavioral verdict, its stats and its counterexample.
 ACTION_PAIRS_DIGEST = \
-    "6d79c6accd0c9f3676bf96c284d32a7efe0eafa8a7739071a199165eeb577214"
+    "9a0b753bcfd71dad580a28493f74101122702061ba5e87505cdff9e3a42e5b7c"
 
 
 def test_action_replacement_observables_are_pinned(world, specs):
