@@ -34,16 +34,24 @@ and lassos; the corpus products take half the cover pairs they took.
 
 verify() builds one automaton P of a structure's premises, at its first
 conjunct G p or F p with p propositional, and decides every such conjunct
-on P's fair SCCs. G p fails when an edge of P allows a world state outside
-p and its successor reaches a fair SCC: a bad prefix of a safety property
-(Kupferman & Vardi, FMSD 2001). F p fails when P's edges cut to the states
-outside p hold a fair SCC that they reach from init (fair-cycle detection,
-Emerson & Lei, LICS 1986). Any other conjunct, and every conjunct under a
-bound, gets the automaton of the premises and its negation (entails). The
-stats count each automaton built once, so P counts once for all the
-conjuncts it decides.
+on P's fair SCCs; the SCC walk finds which SCCs are fair as it goes, with
+no second pass over their edges (_sccs). G p fails when a path of P takes
+a world state outside p and then enters a fair SCC: a bad prefix of a
+safety property (Kupferman & Vardi, FMSD 2001). The build meets states
+breadth first, so the children of each state in that search's tree are a
+run of ids, and the search for a bad prefix queues them whole at a state
+that allows no world state outside p, looking at none of its edges
+(_bad_prefix). F p fails when P's edges cut to the states outside p hold
+a fair SCC that they reach from init (fair-cycle detection, Emerson &
+Lei, LICS 1986). Such an SCC lies in a fair SCC of P, so the cut edges
+inside P's fair SCCs are searched first: when they hold no accepting SCC,
+F p holds and nothing else is walked. Any other conjunct, and every
+conjunct under a bound, gets the automaton of the premises and its
+negation (entails). The stats count each automaton built once, so P
+counts once for all the conjuncts it decides.
 """
 
+from bisect import bisect_right
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 
 from .logic import (LogicError, MissingSpec, _build_psi, _return_condition,
@@ -302,6 +310,10 @@ class _Tableau:
         self.conditions = sorted(untils, key=lambda g: self.key[id(g)])
         self.cond_bit = {c: 1 << i for i, c in enumerate(self.conditions)}
         self.index = {}      # formula -> bit index
+        # id of a subformula object of phi -> its bit index, so that a
+        # formula's tuple, which Python hashes anew each time, is hashed
+        # once per object; `index` gives equal objects one bit
+        self.by_id = {}
         self.formulas = []   # bit index -> formula
         self.keys = []       # bit index -> _key, the order of set_covers
         self.memo = []       # bit index -> covers, once computed
@@ -318,7 +330,7 @@ class _Tableau:
         """The bit index of f. Each subformula of f without one is interned
         first, parts before wholes, so that its row of `implied` is built
         from its parts' rows."""
-        i = self.index.get(f)
+        i = self.by_id.get(id(f))
         if i is None:
             i = fold(f, self._add)
         return i
@@ -327,10 +339,12 @@ class _Tableau:
         """Intern f, whose parts have the bit indices `parts`, and set its
         row of `implied`; an until also joins the row of every formula
         that implies its target."""
-        i = self.index.get(f)
+        i = self.by_id.get(id(f))
         if i is not None:
             return i
-        i = self.index[f] = len(self.formulas)
+        i = self.by_id[id(f)] = self.index.setdefault(f, len(self.formulas))
+        if i < len(self.formulas):  # an equal formula has its bit
+            return i
         self.formulas.append(f)
         self.keys.append(self.key[id(f)])
         self.memo.append(None)
@@ -484,7 +498,8 @@ class _Tableau:
 
 
 class _Automaton:
-    def __init__(self, states, succs, steps, conditions, truncated):
+    def __init__(self, states, succs, steps, conditions, truncated,
+                 ends=None):
         # State ids are small ints, given in the order _build queues each
         # state, so only reached states have one; states[id] is
         # (obligation bits, mask) as in _Tableau. The init state is id 0.
@@ -507,6 +522,11 @@ class _Automaton:
         self.conditions = conditions
         self.all_bits = (1 << len(conditions)) - 1
         self.truncated = truncated  # ids seen but not expanded (bound)
+        # id -> the number of ids given once _build expanded it; None for a
+        # graph derived from a build. Ids are the breadth-first order of
+        # succs from init, so the children of state u in that search's tree
+        # are the ids from ends[u - 1] (1 for init) to ends[u] - 1.
+        self.ends = ends
 
 
 def _build(world, phi, budget, bound=None):
@@ -522,6 +542,7 @@ def _build(world, phi, budget, bound=None):
     states = [init]  # id -> (obligation bits, mask); ids in queue order
     ids = {init: 0}
     depth = [0]
+    ends = []
     steps = {}  # obligation bits -> covers before the state's mask filter
     # obligation bits -> (the union of the masks, the slots) of its covers
     # that no edge has taken yet
@@ -534,6 +555,7 @@ def _build(world, phi, budget, bound=None):
         if bound is not None and depth[state] >= bound:
             truncated.add(state)
             succs[state] = []
+            ends.append(len(states))
             state += 1
             continue
         budget.spend()
@@ -564,81 +586,84 @@ def _build(world, phi, budget, bound=None):
                     left.append(j)
             untaken[bits] = reach, left
         succs[state] = [c for c in covers if c[0] & now]
+        ends.append(len(states))
         state += 1
     for bits, (_, slots) in untaken.items():  # successors met elsewhere
         covers = steps[bits]
         for j in slots:
             m, succ, acc = covers[j]
             covers[j] = (m, ids.get(succ, succ), acc)
-    return _Automaton(states, succs, steps, conditions, truncated)
+    return _Automaton(states, succs, steps, conditions, truncated, ends)
 
 
 def _sccs(auto):
-    """Iterative Tarjan over the successor lists; returns a list of state
-    id sets."""
+    """Iterative Tarjan over the successor lists. Returns a dict from each
+    SCC, a frozenset of state ids, to the accept bits of its internal
+    edges together, with the bit above every condition set when it has an
+    internal edge; an SCC comes after every SCC it reaches. The one walk
+    finds the internal edges (Tarjan, SIAM J. Comput. 1972): an edge into
+    a state still on the stack, and a tree edge whose child is still on
+    the stack when the child finishes. The root of the SCC of such an
+    edge's target is then the edge's source or an ancestor of it: the
+    target reaches that root, which reaches the source down the tree."""
     succs = auto.succs
     n = len(auto.states)
+    marked = auto.all_bits + 1
     index, low, on = [-1] * n, [0] * n, [False] * n
-    stack, out = [], []
+    inner = [0] * n  # state -> accept bits of its internal edges | marked
+    stack, out = [], {}
     counter = 0
     for root in succs:
         if index[root] >= 0:
             continue
-        work = [(root, iter(succs[root]))]
+        # (state, its edges not yet taken, accept bits of its tree edge)
+        work = [(root, iter(succs[root]), 0)]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on[root] = True
         while work:
-            node, it = work[-1]
+            node, it, _ = work[-1]
             advanced = False
-            for _, succ, _ in it:
+            for _, succ, acc in it:
                 if index[succ] < 0:
                     index[succ] = low[succ] = counter
                     counter += 1
                     stack.append(succ)
                     on[succ] = True
-                    work.append((succ, iter(succs[succ])))
+                    work.append((succ, iter(succs[succ]), acc))
                     advanced = True
                     break
-                if on[succ] and index[succ] < low[node]:
-                    low[node] = index[succ]
+                if on[succ]:
+                    inner[node] |= acc | marked
+                    if index[succ] < low[node]:
+                        low[node] = index[succ]
             if advanced:
                 continue
-            work.pop()
-            if work:
+            acc = work.pop()[2]
+            if low[node] < index[node]:  # node stays, in its parent's SCC
                 parent = work[-1][0]
+                inner[parent] |= acc | marked
                 if low[node] < low[parent]:
                     low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    s = stack.pop()
-                    on[s] = False
-                    comp.add(s)
-                    if s == node:
-                        break
-                out.append(comp)
+                continue
+            comp, seen = [], 0
+            while True:
+                s = stack.pop()
+                on[s] = False
+                comp.append(s)
+                seen |= inner[s]
+                if s == node:
+                    break
+            out[frozenset(comp)] = seen
     return out
 
 
-def _accepting_sccs(auto, comps=None):
-    """SCCs with an internal edge, whose internal edges together discharge
-    every condition; of `comps` when given, else of _sccs(auto)."""
-    good = []
-    all_bits, succs = auto.all_bits, auto.succs
-    for comp in _sccs(auto) if comps is None else comps:
-        seen = 0
-        internal = False
-        for st in comp:
-            for _, succ, acc in succs[st]:
-                if succ in comp:
-                    internal = True
-                    seen |= acc
-            if internal and seen == all_bits:
-                good.append(comp)
-                break
-    return good
+def _accepting_sccs(auto):
+    """The SCCs with an internal edge, whose internal edges together
+    discharge every condition (see _sccs)."""
+    good = 2 * auto.all_bits + 1
+    return [comp for comp, seen in _sccs(auto).items() if seen == good]
 
 
 def _bfs_edges(auto, start, goal, allowed=None):
@@ -772,22 +797,17 @@ class _PremiseAutomaton:
     """The automaton P of a structure's premises in a world, which decides
     every conjunct G p and F p with p propositional. A run of P is a run
     of the premises when it ends in a fair SCC: one whose internal edges
-    discharge every condition (_accepting_sccs)."""
+    discharge every condition (_accepting_sccs, found in the SCC walk).
+    Neither search walks all of P when it need not: G p's follows P's
+    breadth-first tree past the states outside m (_bad_prefix), and F p's
+    looks at the edges inside P's fair SCCs first."""
 
     def __init__(self, world, premises, limit):
         budget = Budget(limit)
         self.world = world
         self.auto = _build(world, compile_nnf(world, f_and(premises)), budget)
         self.budget_used = budget.used
-        comps = _sccs(self.auto)
-        self.inside = _inside(_accepting_sccs(self.auto, comps))
-        # the states that reach a fair SCC; _sccs lists each SCC after
-        # every SCC it reaches
-        self.live = live = set(self.inside)
-        succs = self.auto.succs
-        for comp in comps:
-            if any(succ in live for st in comp for _, succ, _ in succs[st]):
-                live |= comp
+        self.inside = _inside(_accepting_sccs(self.auto))
 
     def refute(self, op, m):
         """A counterexample to G p or F p (op "G" or "F"), where m is the
@@ -795,46 +815,31 @@ class _PremiseAutomaton:
         return self.always(m) if op == "G" else self.eventually(m)
 
     def always(self, m):
-        """G p fails when an edge of P takes a world state in m and its
-        successor reaches a fair SCC. The lasso is the one the automaton of
+        """G p fails when a path of P from init takes a world state in m
+        and then enters a fair SCC. The lasso is the one the automaton of
         the premises and F m would give: _bad_prefix, then the cycle."""
-        auto, live = self.auto, self.live
-        states = auto.states
-        for st, out in auto.succs.items():
-            now = states[st][1] & m
-            if now and any(mask & now and succ in live
-                           for mask, succ, _ in out):
-                break
-        else:
+        prefix = _bad_prefix(self.auto, m, self.inside)
+        if prefix is None:
             return None
-        return _lasso(self.world, auto, _bad_prefix(auto, m, self.inside),
-                      self.inside)
+        return _lasso(self.world, self.auto, prefix, self.inside)
 
     def eventually(self, m):
         """F p fails when P's edges cut to m hold a fair SCC that they
-        reach from init; the lasso is that graph's (_cut). Such an SCC
-        lies in a fair SCC of P, so the SCC search runs on the states of
-        P's fair SCCs that the cut edges reach, and the cut graph is built
-        whole only for the lasso."""
+        reach from init; the lasso is that graph's (_cut). Such an SCC lies
+        in a fair SCC of P, so it lies in an accepting SCC of the cut edges
+        between the states of P's fair SCCs. When those edges hold none, F
+        p holds, and the cut graph is never built."""
         auto, inside = self.auto, self.inside
         states, succs = auto.states, auto.succs
-        reach = {auto.init}
-        queue = [auto.init]
-        for st in queue:
-            now = states[st][1] & m
-            for mask, succ, _ in succs[st]:
-                if mask & now and succ not in reach:
-                    reach.add(succ)
-                    queue.append(succ)
-        kept = reach.intersection(inside)
         inner = {st: [e for e in succs[st]
-                      if e[0] & states[st][1] & m and e[1] in kept]
-                 for st in kept}
+                      if e[0] & states[st][1] & m and e[1] in inside]
+                 for st in inside}
         if not _accepting_sccs(_Automaton(states, inner, None,
                                           auto.conditions, set())):
             return None
         cut = _cut(auto, m)
-        return _extract_lasso(self.world, cut, _accepting_sccs(cut))
+        sccs = _accepting_sccs(cut)
+        return _extract_lasso(self.world, cut, sccs) if sccs else None
 
 
 def _cut(auto, m):
@@ -856,47 +861,67 @@ def _cut(auto, m):
 
 def _bad_prefix(auto, m, inside):
     """The edges of a shortest path from init that takes a world state in
-    m and then ends on an edge into `inside`. The search runs breadth first
-    over (state, whether m was taken), numbered 2 * state + taken; it takes
-    each state's edges in cover order and, until m is taken, each edge cut
-    to m before the whole edge. The automaton of the premises and F m is
-    explored in this order."""
-    states, succs = auto.states, auto.succs
-    start = 2 * auto.init
-    parent = {start: None}  # node -> (node before, edge mask, edge)
-    queue = [start]
+    m and then ends on an edge into `inside`, or None. The search runs
+    breadth first over (state, whether m was taken), numbered 2 * state +
+    taken; it takes each state's edges in cover order and, until m is
+    taken, each edge cut to m before the whole edge. The automaton of the
+    premises and F m is explored in this order.
+
+    Until m is taken, the search is _build's own breadth-first search, so
+    it meets states in id order, each from its parent in that search's
+    tree (see _Automaton.ends). A state whose mask misses m has no edge
+    cut to m, so its node queues its tree children's nodes in one step.
+    Edges are scanned only at states whose mask meets m, where the next
+    tree child is the next id met, and at taken nodes. Only taken nodes
+    keep their parents; _path finds the others in the tree."""
+    states, succs, ends = auto.states, auto.succs, auto.ends
+    parent = {}  # taken node -> (node before, edge)
+    queue = [2 * auto.init]
     for node in queue:
-        taken = node & 1
-        now = states[node >> 1][1]
-        for edge in succs[node >> 1]:
-            mask, succ = edge[0] & now, edge[1]
-            if not taken:
-                bad = mask & m
-                if bad:
-                    if succ in inside:
-                        return _path(parent, node, bad, edge)
-                    if 2 * succ + 1 not in parent:
-                        parent[2 * succ + 1] = node, bad, edge
-                        queue.append(2 * succ + 1)
-                nxt = 2 * succ
-            elif succ in inside:
-                return _path(parent, node, mask, edge)
-            else:
-                nxt = 2 * succ + 1
-            if nxt not in parent:
-                parent[nxt] = node, mask, edge
-                queue.append(nxt)
+        st = node >> 1
+        now = states[st][1]
+        if node & 1:
+            cut, fresh = -1, -1  # every edge is taken whole, to taken nodes
+        else:
+            cut, fresh = m, ends[st - 1] if st else 1  # fresh: next child
+            if not now & m:
+                queue.extend(range(2 * fresh, 2 * ends[st], 2))
+                continue
+        for edge in succs[st]:
+            succ = edge[1]
+            if edge[0] & now & cut:
+                if succ in inside:
+                    return _path(auto, m, parent, node, edge)
+                if 2 * succ + 1 not in parent:
+                    parent[2 * succ + 1] = node, edge
+                    queue.append(2 * succ + 1)
+            if succ == fresh:
+                queue.append(2 * succ)
+                fresh += 1
     return None
 
 
-def _path(parent, node, mask, edge):
-    """The edges from the search's start to `node`, then `edge` cut to
-    `mask`."""
-    path = [(mask, edge[1], edge[2])]
-    while parent[node] is not None:
-        node, mask, edge = parent[node]
+def _path(auto, m, parent, node, edge):
+    """The edges of _bad_prefix's path to `node`, then `edge`, each cut to
+    its state's mask, and the edge that takes m cut to m too. A node that
+    has not taken m comes from its state's tree parent, through the first
+    edge there into its state."""
+    states, succs, ends = auto.states, auto.succs, auto.ends
+    path, taken = [], 1  # whether the node that `edge` leads to took m
+    while True:
+        mask = edge[0] & states[node >> 1][1]
+        if taken > node & 1:
+            mask &= m
         path.append((mask, edge[1], edge[2]))
-    return path[::-1]
+        if node == 2 * auto.init:
+            return path[::-1]
+        taken = node & 1
+        if taken:
+            node, edge = parent[node]
+        else:
+            st = node >> 1
+            node = 2 * bisect_right(ends, st)
+            edge = next(e for e in succs[node >> 1] if e[1] == st)
 
 
 def verify(z, world, specs, phi, bound=None, limit=DEFAULT_LIMIT):

@@ -9,8 +9,9 @@ and terms are read by recursive descent, tableau products are gathered in
 one flat dict and filtered in a second pass, an obligation set's covers
 are folded from its first member every time, obligation sets drop only
 the untils whose targets they hold, and automaton emptiness is
-decided on spelled-out edges, and each conjunct a structure is verified
-against gets an entailment of its own.
+decided on spelled-out edges, each conjunct a structure is verified
+against gets an entailment of its own, and the premise automaton's G p
+and F p conjuncts are decided by searches over all of it.
 """
 
 import heapq
@@ -912,14 +913,16 @@ def oracle_accepting_sccs(edges, comps, all_bits):
 
 def bfs_order(edges, init):
     """States in the order a breadth-first walk from init meets them,
-    taking each state's edges in order."""
-    order, seen = [init], {init}
+    taking each state's edges in order, and how many it has met once it
+    has taken each state's edges, in that order."""
+    order, seen, ends = [init], {init}, []
     for st in order:
         for _, succ, _ in edges[st]:
             if succ not in seen:
                 seen.add(succ)
                 order.append(succ)
-    return order
+        ends.append(len(order))
+    return order, ends
 
 
 def _edge_path(edges, start, goal, allowed=None):
@@ -943,14 +946,16 @@ def _edge_path(edges, start, goal, allowed=None):
     return None
 
 
-def oracle_lasso(world, init, edges, accepting, n_conditions):
+def oracle_lasso(world, init, edges, accepting, n_conditions, prefix=None):
     """The lasso the verifier reports, built on spelled-out edges: the
-    shortest path into an accepting SCC, then, inside it, the shortest
-    path to an edge discharging each condition not yet discharged, then
-    back to the entry state. Returns (prefix, cycle) as world states."""
+    shortest path into an accepting SCC, or the edges `prefix` when given,
+    then, inside it, the shortest path to an edge discharging each
+    condition not yet discharged, then back to the entry state. Returns
+    (prefix, cycle) as world states."""
     inside = {st: comp for comp in accepting for st in comp}
-    prefix = [] if init in inside else \
-        _edge_path(edges, init, lambda e: e[1] in inside)
+    if prefix is None:
+        prefix = [] if init in inside else \
+            _edge_path(edges, init, lambda e: e[1] in inside)
     entry = prefix[-1][1] if prefix else init
     comp = inside[entry]
     cycle, cur = [], entry
@@ -987,6 +992,102 @@ def oracle_verify(world, premises, phi, bound=None, limit=5_000_000):
             return Verdict(False, counterexample=v.counterexample,
                            conclusion=c, stats=total)
     return Verdict(True, stats=total)
+
+
+class OraclePremiseAutomaton:
+    """_PremiseAutomaton.refute on the premise automaton `auto`, by walks
+    over all of it. Its fair SCCs come from Kosaraju's passes and a second
+    pass over their edges. G p fails when an edge from a state that meets
+    m leads to a state that reaches a fair SCC; its prefix is then the
+    breadth-first search over (state, m taken) that scans every edge
+    (oracle_bad_prefix). F p fails when the edges cut to m that init
+    reaches hold an accepting SCC, found on that whole cut graph."""
+
+    def __init__(self, world, auto):
+        self.world, self.auto = world, auto
+        self.edges = concrete_edges(auto)
+        graph = {st: [succ for _, succ, _ in out]
+                 for st, out in self.edges.items()}
+        comps = kosaraju_sccs(graph)
+        self.accepting = oracle_accepting_sccs(self.edges, comps,
+                                               auto.all_bits)
+        self.inside = {st: comp for comp in self.accepting for st in comp}
+        # Kosaraju lists each SCC before every SCC it reaches
+        self.live = set(self.inside)
+        for comp in reversed(comps):
+            if any(succ in self.live for st in comp for succ in graph[st]):
+                self.live |= comp
+
+    def refute(self, op, m):
+        """(prefix, cycle) of the counterexample to G p or F p, where m is
+        the mask of not p, or None when the conjunct holds."""
+        auto, n = self.auto, len(self.auto.conditions)
+        if op == "G":
+            if not any(mask & m and succ in self.live
+                       for out in self.edges.values()
+                       for mask, succ, _ in out):
+                return None
+            return oracle_lasso(self.world, auto.init, self.edges,
+                                self.accepting, n,
+                                oracle_bad_prefix(auto, m, self.inside))
+        reach, queue, cut = {auto.init}, [auto.init], {}
+        for st in queue:
+            cut[st] = [(mask & m, succ, acc)
+                       for mask, succ, acc in self.edges[st] if mask & m]
+            for _, succ, _ in cut[st]:
+                if succ not in reach:
+                    reach.add(succ)
+                    queue.append(succ)
+        accepting = oracle_accepting_sccs(cut, kosaraju_sccs(
+            {st: [succ for _, succ, _ in out] for st, out in cut.items()}),
+            auto.all_bits)
+        if not accepting:
+            return None
+        return oracle_lasso(self.world, auto.init, cut, accepting, n)
+
+
+def oracle_bad_prefix(auto, m, inside):
+    """The edges of a shortest path from init that takes a world state in
+    m and then ends on an edge into `inside`: a breadth-first search over
+    (state, whether m was taken), numbered 2 * state + taken, that takes
+    each state's edges in cover order and, until m is taken, each edge cut
+    to m before the whole edge, and keeps every node's parent."""
+    states, succs = auto.states, auto.succs
+    start = 2 * auto.init
+    parent = {start: None}  # node -> (node before, edge mask, edge)
+    queue = [start]
+    for node in queue:
+        taken = node & 1
+        now = states[node >> 1][1]
+        for edge in succs[node >> 1]:
+            mask, succ = edge[0] & now, edge[1]
+            if not taken:
+                bad = mask & m
+                if bad:
+                    if succ in inside:
+                        return _parent_path(parent, node, bad, edge)
+                    if 2 * succ + 1 not in parent:
+                        parent[2 * succ + 1] = node, bad, edge
+                        queue.append(2 * succ + 1)
+                nxt = 2 * succ
+            elif succ in inside:
+                return _parent_path(parent, node, mask, edge)
+            else:
+                nxt = 2 * succ + 1
+            if nxt not in parent:
+                parent[nxt] = node, mask, edge
+                queue.append(nxt)
+    return None
+
+
+def _parent_path(parent, node, mask, edge):
+    """The edges from the search's start to `node`, then `edge` cut to
+    `mask`."""
+    path = [(mask, edge[1], edge[2])]
+    while parent[node] is not None:
+        node, mask, edge = parent[node]
+        path.append((mask, edge[1], edge[2]))
+    return path[::-1]
 
 
 # -- lasso evaluation ---------------------------------------------------------

@@ -17,8 +17,10 @@ import decstruct
 from decstruct import (DecisionStructure, Leaf, Op, construct_kbt, decompose,
                        format_structure, load_structure, parse_structure,
                        structurally_equivalent)
+from decstruct import verifier
 from decstruct.cli import _json_chunks, main
 from conftest import CORPUS, corpus_path, structure
+from oracles import OraclePremiseAutomaton
 
 
 def run(capsys, *argv):
@@ -276,6 +278,36 @@ def test_verify_fails_with_trace(capsys):
                        "--spec", corpus_path("spec.ltl"))
     assert code == 1
     assert "fails" in out and "loop:" in out
+
+
+def test_premise_counterexamples_match_whole_searches(tmp_path, capsys,
+                                                      monkeypatch):
+    """verify's counterexamples to F p, which the corpus spec never shows,
+    and to G p on every drone structure equal those of searches over all
+    of the premise automaton; the JSON output holds the stats and every
+    state of the lasso."""
+    monkeypatch.delenv("DECSTRUCT_COLOR", raising=False)
+    commands = []
+    for i, (name, text) in enumerate(
+            [("z2", "F landed"), ("z2", "F storm")]
+            + [(name, "G !b0") for name in ("z1", "z2", "z3", "z4")]):
+        spec = tmp_path / ("spec%d.ltl" % i)
+        spec.write_text(text + "\n")
+        commands.append(["--format", "json", "verify",
+                         corpus_path(name + ".ds"),
+                         "--world", corpus_path("drone.wld"),
+                         "--actions", corpus_path("drone.act"),
+                         "--spec", str(spec)])
+    got = [run(capsys, *argv) for argv in commands]
+    assert all(code == 1 for code, _, _ in got)
+
+    def refute(premise_auto, op, m):
+        lasso = OraclePremiseAutomaton(premise_auto.world,
+                                       premise_auto.auto).refute(op, m)
+        return lasso and verifier.LassoTrace(*lasso)
+
+    monkeypatch.setattr(verifier._PremiseAutomaton, "refute", refute)
+    assert [run(capsys, *argv) for argv in commands] == got
 
 
 def test_verify_bounded_note(capsys):

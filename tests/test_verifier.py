@@ -29,12 +29,13 @@ from decstruct.verifier import (Budget, _accepting_sccs, _Automaton,
                                 _bfs_edges, _build, _check_conjuncts,
                                 _extract_lasso, _premises, _sccs, compile_nnf)
 from conftest import structure
-from oracles import (all_lassos, bfs_order, concrete_edges, flat_merge,
-                     flat_product, holds_on_lasso, kosaraju_sccs,
-                     oracle_accepting_sccs, oracle_lasso, oracle_norm,
-                     oracle_set_covers, oracle_undominated, oracle_verify,
-                     rand_entailment, rand_formula, replay_world, seeded,
-                     unfiltered_merge, unfiltered_product)
+from oracles import (OraclePremiseAutomaton, all_lassos, bfs_order,
+                     concrete_edges, flat_merge, flat_product,
+                     holds_on_lasso, kosaraju_sccs, oracle_accepting_sccs,
+                     oracle_lasso, oracle_norm, oracle_set_covers,
+                     oracle_undominated, oracle_verify, rand_entailment,
+                     rand_formula, replay_world, seeded, unfiltered_merge,
+                     unfiltered_product)
 
 
 def w2():
@@ -176,11 +177,15 @@ def parsed_automaton(world, premises, conclusion):
 
 
 def check_automaton(world, auto):
-    """Compare the edge lists, the state order, the SCC search, acceptance
-    and the lasso with independent checks on the spelled-out edges; return
-    (edges, distinct (state, successor) pairs)."""
+    """Compare the edge lists, the state order and its breadth-first tree,
+    the SCC search, acceptance and the lasso with independent checks on
+    the spelled-out edges; return (edges, distinct (state, successor)
+    pairs)."""
     edges = concrete_edges(auto)
-    assert list(auto.succs) == bfs_order(edges, auto.init)
+    order, ends = bfs_order(edges, auto.init)
+    assert list(auto.succs) == order
+    # a build numbers states in that order; one made by hand has no ends
+    assert auto.ends is None or auto.ends == ends
     for st, out in edges.items():
         now = auto.states[st][1]
         assert [(mask & now, succ, acc)
@@ -687,6 +692,27 @@ def world_atoms(world):
             for v in ([name] if is_bool else values)]
 
 
+def lasso(trace):
+    return trace and (trace.prefix, trace.cycle)
+
+
+def refutes_as_the_oracle(world, premise_auto, *phis):
+    """Each conjunct of the phis, all G p or F p, gets from the premise
+    automaton the lasso, or the None, that the searches over all of it
+    give (OraclePremiseAutomaton); returns how many fail."""
+    oracle = OraclePremiseAutomaton(world, premise_auto.auto)
+    assert premise_auto.auto.ends == bfs_order(
+        oracle.edges, premise_auto.auto.init)[1]
+    fails = 0
+    for c in (c for phi in phis
+              for c in (phi[1] if phi[0] == "and" else [phi])):
+        question = verifier._premise_question(world, c)
+        got = lasso(premise_auto.refute(*question))
+        assert got == oracle.refute(*question), c
+        fails += got is not None
+    return fails
+
+
 def same_as_the_oracle(world, premises, phi, alone=None):
     """_check_conjuncts against oracle_verify on an unbounded question
     whose conjuncts are all G p or F p; returns (whether it fails, whether
@@ -706,9 +732,7 @@ def same_as_the_oracle(world, premises, phi, alone=None):
     for f in premises:
         assert holds_on_lasso(world, f, tr.prefix, tr.cycle), (premises, phi)
     assert not holds_on_lasso(world, v.conclusion, tr.prefix, tr.cycle)
-    got = (tr.prefix, tr.cycle)
-    return True, got == (want.counterexample.prefix,
-                         want.counterexample.cycle)
+    return True, lasso(tr) == lasso(want.counterexample)
 
 
 # Questions whose only edge into a state outside p leads to a fair SCC
@@ -730,15 +754,18 @@ def test_premise_questions_are_read_off_the_compiled_negation():
         assert verifier._premise_question(w, parse_ltl(text)) == want, text
 
 
-def test_g_and_f_conjuncts_match_one_entailment_each(world, specs):
+def test_g_and_f_conjuncts_match_one_entailment_each(world, specs,
+                                                    spec_formula):
     """G p and F p conjuncts, decided on one automaton of the premises,
     get the verdicts and the failing conjunct of one entailment per
     conjunct, and counterexamples that satisfy the premises and refute
     the conjunct. Counts are (questions, failures, traces equal to the
-    entailment's)."""
+    entailment's, conjuncts that fail on the premise automaton). Every
+    conjunct, and each corpus spec conjunct, gets the lasso or the None of
+    searches over all of the premise automaton."""
     rng = seeded(606)
     w, atoms = replay_world()
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
     for _ in range(400):
         premises = [rand_formula(rng, atoms, rng.randint(1, 3))
                     for _ in range(rng.randint(0, 2))]
@@ -748,22 +775,27 @@ def test_g_and_f_conjuncts_match_one_entailment_each(world, specs):
         counts[0] += 1
         counts[1] += fails
         counts[2] += same
-    assert counts == [400, 348, 280]
+        counts[3] += refutes_as_the_oracle(
+            w, verifier._PremiseAutomaton(w, premises, 5_000_000), phi)
+    assert counts == [400, 348, 280, 614]
     for premises, conclusion in FAR_FROM_FAIR:
         assert same_as_the_oracle(w, [parse_ltl(f) for f in premises],
                                   parse_ltl(conclusion)) == (True, True)
     drone = world_atoms(world)
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
     for name in ("z1", "z2", "z3", "z4"):
         premises = _premises(structure(name), world, specs)
         alone = entails(world, premises, ("false",)).stats
+        phis = [spec_formula]
         for _ in range(2):
-            phi = f_and([rand_g_or_f(rng, drone, 2) for _ in range(2)])
-            fails, same = same_as_the_oracle(world, premises, phi, alone)
+            phis.append(f_and([rand_g_or_f(rng, drone, 2) for _ in range(2)]))
+            fails, same = same_as_the_oracle(world, premises, phis[-1], alone)
             counts[0] += 1
             counts[1] += fails
             counts[2] += same
-    assert counts == [8, 7, 7]
+        counts[3] += refutes_as_the_oracle(world, verifier._PremiseAutomaton(
+            world, premises, 5_000_000), *phis)
+    assert counts == [8, 7, 7, 12]
 
 
 def test_the_first_failing_conjunct_in_spec_order_is_reported():
@@ -906,6 +938,21 @@ def test_norm_drops_each_member_another_member_implies():
     # two members is interned first
     assert kept("G (q & X p)", "q U X p") == ["G (q & X p)"]
     assert kept("q U X p", "G (q & X p)") == ["G (q & X p)"]
+
+
+def test_equal_formulas_share_one_bit():
+    """The tableau looks a subformula object up by its id first, and by
+    the formula only once per object, so two equal objects share a bit."""
+    w = w2()
+    parts = tuple(compile_nnf(w, parse_ltl("G p")) for _ in range(2))
+    assert parts[0] == parts[1] and parts[0] is not parts[1]
+    phi = ("and", parts)
+    tableau = verifier._Tableau(w, Budget(0), phi)
+    whole = tableau.intern(phi)
+    assert tableau.intern(parts[0]) == tableau.intern(parts[1])
+    # the conjunction, G p and G p's two masks
+    assert len(tableau.formulas) == 4 and tableau.formulas[whole] is phi
+    assert tableau.norm(1 << whole) == 1 << whole
 
 
 def building_with_the_until_target_rule(monkeypatch, build, *args):
