@@ -290,7 +290,7 @@ def test_premise_counterexamples_match_whole_searches(tmp_path, capsys,
     commands = []
     for i, (name, text) in enumerate(
             [("z2", "F landed"), ("z2", "F storm")]
-            + [(name, "G !b0") for name in ("z1", "z2", "z3", "z4")]):
+            + [(z, "G !b0") for z in ("z1", "z2", "z3", "z4")]):
         spec = tmp_path / ("spec%d.ltl" % i)
         spec.write_text(text + "\n")
         commands.append(["--format", "json", "verify",

@@ -704,8 +704,8 @@ def refutes_as_the_oracle(world, premise_auto, *phis):
     assert premise_auto.auto.ends == bfs_order(
         oracle.edges, premise_auto.auto.init)[1]
     fails = 0
-    for c in (c for phi in phis
-              for c in (phi[1] if phi[0] == "and" else [phi])):
+    for c in [c for phi in phis
+              for c in (phi[1] if phi[0] == "and" else [phi])]:
         question = verifier._premise_question(world, c)
         got = lasso(premise_auto.refute(*question))
         assert got == oracle.refute(*question), c
@@ -952,7 +952,6 @@ def test_equal_formulas_share_one_bit():
     assert tableau.intern(parts[0]) == tableau.intern(parts[1])
     # the conjunction, G p and G p's two masks
     assert len(tableau.formulas) == 4 and tableau.formulas[whole] is phi
-    assert tableau.norm(1 << whole) == 1 << whole
 
 
 def building_with_the_until_target_rule(monkeypatch, build, *args):
