@@ -53,6 +53,8 @@ counts once for all the conjuncts it decides.
 
 from bisect import bisect_right
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+from itertools import compress, islice, repeat
+from operator import and_, itemgetter
 
 from .logic import (LogicError, MissingSpec, _build_psi, _return_condition,
                     build_psi, compile_nnf, f_and, f_not, fold, format_formula,
@@ -514,7 +516,8 @@ class _Automaton:
         # across this step.
         self.steps = steps
         # id of each reached state, in queue order -> its edges: the covers
-        # of steps[bits] whose mask meets the state's mask, in cover order.
+        # of steps[bits] whose mask meets the state's mask, in cover order,
+        # selected through the state mask's row of mask ids (see _build).
         # A successor reached through covers with different accept bits
         # has one edge for each. An edge's mask is its cover's, not yet
         # cut to the state's mask.
@@ -530,6 +533,17 @@ class _Automaton:
 
 
 def _build(world, phi, budget, bound=None):
+    """The automaton of phi, its states numbered breadth first from init.
+
+    A state's edges are the covers of its set whose mask meets its own, in
+    cover order. Each distinct cover mask gets an id; a set asked for again
+    keeps its covers' ids (an itemgetter), and a state mask met again a row
+    of bytes, 1 at each id whose mask meets it, so each (state mask, cover
+    mask) pair is tested once. A cover keeps its mask when an edge names
+    its successor, so compress() by the row at the covers' ids keeps just
+    the covers the per-cover test keeps, in order. A set or mask met the
+    first time takes that test and pays for no pick or row: like _Tableau's
+    kept prefixes, they are kept at the second ask."""
     tableau = _Tableau(world, budget, phi)
     conditions = tableau.conditions
     if phi[0] != "mask":
@@ -548,6 +562,9 @@ def _build(world, phi, budget, bound=None):
     # that no edge has taken yet
     untaken = {}
     succs = {}
+    mask_ids = {0: 0}  # cover mask -> its id; 0, which meets nothing, first
+    picks = {}  # obligation bits -> itemgetter of its covers' mask ids
+    rows = {}  # state mask -> bytes, 1 at each mask id that meets it
     truncated = set()
     state = 0
     while state < len(states):
@@ -560,10 +577,14 @@ def _build(world, phi, budget, bound=None):
             continue
         budget.spend()
         covers = steps.get(bits)
+        pick = picks.get(bits)
         if covers is None:
             covers = steps[bits] = [(m, (b, n), all_bits ^ p)
                                     for m, b, n, p in tableau.set_covers(bits)]
             untaken[bits] = (-1, range(len(covers)))
+        elif pick is None:  # two spare ids 0 make every pick a tuple
+            pick = picks[bits] = itemgetter(*[mask_ids.setdefault(
+                m, len(mask_ids)) for m, _, _ in covers], 0, 0)
         reach, slots = untaken[bits]
         if reach & now:
             # A cover names its successor by (bits, mask) until an edge
@@ -585,7 +606,15 @@ def _build(world, phi, budget, bound=None):
                     reach |= m
                     left.append(j)
             untaken[bits] = reach, left
-        succs[state] = [c for c in covers if c[0] & now]
+        row = rows.get(now)
+        if row is None or pick is None:
+            rows.setdefault(now, b"")
+            succs[state] = [c for c in covers if c[0] & now]
+        else:
+            if len(row) < len(mask_ids):
+                row = rows[now] = row + bytes(map(bool, map(
+                    and_, repeat(now), islice(mask_ids, len(row), None))))
+            succs[state] = list(compress(covers, pick(row)))
         ends.append(len(states))
         state += 1
     for bits, (_, slots) in untaken.items():  # successors met elsewhere

@@ -663,6 +663,26 @@ def test_build_numbers_only_the_states_it_reaches(world, specs,
         succ for succ in named if isinstance(succ, tuple)}
 
 
+def test_edge_cut_past_a_byte_of_mask_ids():
+    # 512 distinct cover masks, so mask ids do not fit a byte; state masks
+    # recur, so the cut reads kept rows; and the negated nexts make most
+    # covers miss the state's mask, so the rows hold zeros as well as ones
+    w = parse_world("".join("bool a%d\n" % i for i in range(9)))
+    ring = " & ".join("(a%d | X !a%d)" % (i, (i + 1) % 9) for i in range(9))
+    phi = compile_nnf(w, parse_ltl("G (%s) & F (a0 & X a1)" % ring))
+    auto = _build(w, phi, Budget(5_000_000))
+    masks = {c[0] for covers in auto.steps.values() for c in covers}
+    seen = [now for _, now in auto.states]
+    assert len(masks) > 256 and len(set(seen)) < len(seen)
+    edges = concrete_edges(auto)
+    assert sum(map(len, edges.values())) < sum(
+        len(auto.steps[bits]) for bits, _ in auto.states) // 10
+    for st, out in edges.items():
+        now = auto.states[st][1]
+        assert [(mask & now, succ, acc)
+                for mask, succ, acc in auto.succs[st]] == out, st
+
+
 def rand_prop(rng, atoms, depth):
     """A random propositional formula: atoms, now and then true or false,
     under not, and, or."""
