@@ -7,24 +7,25 @@ one arc leaving X, all such arcs share a single head and every member of
 X has an out-arc labeled r (internal or external). Contracting a module
 to one node then preserves selection semantics.
 
-Modules are read off one absorption sweep per node (see _sweeps): those
-with source v are prefixes of v's sweep, which is the run of the nodes v
-dominates in one preorder of z's dominator tree. Sweeps run on demand:
-a sweep context reads a node's sweep when first asked, only up to the
-requested length, and keeps it for later requests that are no longer.
-is_module reads the one sweep from a set's first node, up to the set's
-size, and quotient checks every block against one context.
+Modules are read off one table per structure (see _sweeps). In one
+preorder of z's dominator tree, the nodes v dominates form one run from
+v, every arc runs forward, and every module with source v is a prefix of
+v's run. Which prefixes are modules is one interval condition on the
+heads of the arcs leaving them, so one pass per label gives, for every
+end b of a run, the least start from which the run up to b is a module.
+is_module is a test of that table plus the member check, find_modules
+lists each node's module prefixes off it, and quotient checks every
+block against one table.
 
-decompose reads one context and builds no sub-structure. Each tree level
-X is the prefix of its source's sweep of length |X|, a run of the order.
-It is cut into path blocks where a module prefix leaves only into the
-next node, or else prime: from the start of X's run, the node there takes
-its largest module inside X, read off its sweep up to the end of X's run,
-and the next block starts where that one ends (see _path_blocks and
+decompose reads one table and builds no sub-structure. Each tree level
+X is the prefix of its source's run of length |X|. It is cut into path
+blocks where a module prefix leaves only into the next node, or else
+prime: from the start of X's run, the node there takes its largest
+module inside X, read off the table up to the end of X's run, and the
+next block starts where that one ends (see _path_blocks and
 _prime_blocks). Either way the blocks are runs of X's run, the quotient
 lists them in that order, and its arcs are the in-arcs of the blocks'
-sources but the first (_level_arcs). A node's requests only shrink down
-the tree, so no sweep is read twice. A work list takes the levels in
+sources but the first (_level_arcs). A work list takes the levels in
 turn, so neither the build nor the tree's readers recurse per level; the
 one structure built per level is its quotient.
 """
@@ -71,30 +72,42 @@ def is_module(z, members):
 
 
 class _sweeps:
-    """The absorption sweeps of z: sweeps(seed, stop) -> (order, sizes).
+    """The module prefixes of z's dominator-tree preorder:
+    sweeps(seed, stop) -> (order, sizes). sizes lists, from 1 up to stop
+    (without bound when stop is None), each k such that the run of the
+    order from seed cut to k nodes is a module, and order is that run cut
+    to the last of them.
 
-    v's sweep grows M from v by nodes whose every in-arc comes from M,
-    tracking for each label the distinct heads of arcs leaving M (a node
-    missing a label leaves toward a per-label virtual sink). M is a module
-    exactly when no label sees two heads; sizes lists those |M|, from 1,
-    and order the nodes up to the last.
+    The nodes v dominates are those every path from z's source to them
+    passes. In the preorder `order` of z's dominator tree, children in z's
+    topological order, they form one run from v of length span[v]. That
+    preorder is topological, so every arc runs forward in it, and every
+    module with source v is a prefix of v's run.
 
-    The nodes v's sweep can take are those v dominates: every path from
-    z's source to them passes v. In the preorder of z's dominator tree,
-    children in z's topological order, they form one run from v, of
-    length span[v]; that preorder is itself topological, and every module
-    with source v is a prefix of v's run. So a sweep is a slice of the one
-    order, read to `stop` nodes (to its end when stop is None) and kept: a
-    later call with no larger stop gets it back, so callers read only the
-    prefix up to their stop (the sizes up to it, and order up to the
-    largest of those).
+    Which prefixes are modules is one interval fact. Take positions in
+    order, n in all, and let h_r(i) be the position of order[i]'s r-head,
+    or n, r's sink, if it has no r-arc. Let X = order[a:b] with b - a <=
+    span[order[a]]. Each member but order[a] has in-arcs, all from nodes
+    order[a] dominates (a path to a tail that avoids order[a] would reach
+    the head too), which come before it, so from X: (a) and (b) hold.
+    Since arcs run forward, an arc from X leaves it exactly when its head
+    is at b or later, and a member without an r-arc leaves toward r's
+    sink, so the heads leaving X by r are exactly the h_r(i) >= b with
+    a <= i < b, and (c) asks that each r have at most one of them.
+    Raising a only drops values, so for each end b that holds exactly
+    when a >= start[b], the least such a: X is a module exactly when
+    b - a <= span[order[a]] and start[b] <= a.
+
+    start takes one left-to-right pass per label. At end b, each value
+    h >= b met so far has a latest tail i < b, and order[a:b] meets two
+    values exactly when a is at most the second-latest of those tails, so
+    start_r[b] is one more than that tail, or 0, and start[b] is the
+    largest start_r[b]. live holds the tails oldest first; one is stale
+    once its value is below b or has a newer tail, and stale tails are
+    dropped off the top, so each is pushed and popped at most once.
     """
 
     def __init__(self, z):
-        self.z = z
-        self.labels = z.labels()
-        # never collides with node ids
-        self.aux = {r: ("\x00sink", r) for r in self.labels}
         topo = z.topological_order()
         self.topo_pos = topo_pos = {v: i for i, v in enumerate(topo)}
         # u's immediate dominator is the nearest common dominator of its
@@ -117,67 +130,47 @@ class _sweeps:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(kids[v]))
-        self.pos = {v: i for i, v in enumerate(order)}
+        self.pos = pos = {v: i for i, v in enumerate(order)}
         self.span = span = dict.fromkeys(order, 1)
         for v in order[:0:-1]:
             span[idom[v]] += span[v]
-        self.swept = {}  # seed -> (stop, order, sizes)
+        n = len(order)
+        self.start = start = [0] * (n + 1)
+        for r in z.labels():
+            # n for the sink: no node id maps to it
+            heads = [pos.get(z.out[v].get(r), n) for v in order]
+            last, live = [0] * (n + 1), []
+            for t, h in enumerate(heads):
+                last[t] = -1  # value t is below the next end, t + 1
+                last[h] = t
+                while live and last[heads[live[-1]]] != live[-1]:
+                    live.pop()
+                if live and live[-1] >= start[t + 1]:
+                    start[t + 1] = live[-1] + 1
+                live.append(t)
 
     def __call__(self, seed, stop=None):
-        if stop is None:
-            stop = len(self.z.nodes)
-        reach, order, sizes = self.swept.get(seed, (0, None, None))
-        if reach < stop:
-            order, sizes = self.sweep(seed, stop)
-            self.swept[seed] = (stop, order, sizes)
-        return order, sizes
+        return self.sweep(seed, len(self.order) if stop is None else stop)
 
     def sweep(self, seed, stop):
-        i = self.pos[seed]
-        order = self.order[i:i + min(stop, self.span[seed])]
-        sizes = self._sizes(seed, order)
-        del order[sizes[-1]:]
-        return order, sizes
+        a = self.pos[seed]
+        sizes = self.sizes(a, stop)
+        return self.order[a:a + sizes[-1]], sizes
 
-    def _sizes(self, seed, nodes):
-        """The sizes of the module prefixes of nodes, a run of the order
-        from seed: each node's in-arcs but the seed's come from before it
-        in the run, and no head of an arc from a taken node is taken yet."""
-        preds, outs = self.z.preds, self.z.out
-        # heads[r] maps each outside head of an r-arc from M to its arc
-        # count; crowded counts the labels currently seeing 2+ heads.
-        heads = {r: {} for r in self.labels}
-        exits = [(r, heads[r], self.aux[r]) for r in self.labels]
-        crowded, sizes = 0, []
-        for k, u in enumerate(nodes, 1):
-            # the seed's in-arcs come from outside M, all others' from M
-            for _, r in preds[u] if u != seed else ():
-                bucket = heads[r]
-                count = bucket[u] - 1
-                if count:
-                    bucket[u] = count
-                else:
-                    del bucket[u]
-                    if len(bucket) == 1:
-                        crowded -= 1
-            out = outs[u]
-            for r, bucket, sink in exits:
-                h = out.get(r, sink)
-                count = bucket.get(h, 0)
-                bucket[h] = count + 1
-                if not count and len(bucket) == 2:
-                    crowded += 1
-            if not crowded:
-                sizes.append(k)
-        return sizes
+    def sizes(self, a, stop):
+        """The sizes k <= stop of the modules order[a:a + k]."""
+        start = self.start
+        return [b - a for b in range(a + 1, a + min(stop, self.span[
+            self.order[a]]) + 1) if start[b] <= a]
 
     def is_module(self, members):
         """members, a non-empty set of z's nodes, is a module exactly when
-        it is a module prefix of the sweep from its topologically first
-        node."""
-        k = len(members)
-        order, sizes = self(min(members, key=self.topo_pos.__getitem__), k)
-        return k in sizes and set(order[:k]) == members
+        it is the run of the order from its first node there, and that run
+        is a module."""
+        a = min(map(self.pos.__getitem__, members))
+        b = a + len(members)
+        return (b - a <= self.span[self.order[a]] and self.start[b] <= a
+                and set(self.order[a:b]) == members)
 
 
 def find_modules(z):
@@ -343,9 +336,9 @@ def _children(d):
 
 def decompose(z):
     """Modular decomposition of a decision structure, built from z and its
-    sweeps alone (see the module docstring)."""
+    module table alone (see the module docstring)."""
     sweeps = _sweeps(z)
-    pos = sweeps.pos
+    pos, order = sweeps.pos, sweeps.order
     arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
     root = [None]
     todo = [(z.source, len(z.nodes), root, 0)]  # level, and its slot
@@ -355,9 +348,9 @@ def decompose(z):
             slots[i] = DecompositionNode("leaf", [source], node=source,
                                          action=z.action_of[source])
             continue
-        order, sizes = sweeps(source, n)
-        members = order[:n]
-        blocks = _path_blocks(z, pos, members, sizes)
+        a = pos[source]
+        members = order[a:a + n]
+        blocks = _path_blocks(z, pos, members, sweeps.sizes(a, n))
         kind = "path" if blocks else "prime"
         blocks = blocks or _prime_blocks(members, sweeps)
         arcs = _level_arcs(z, pos, arc_pos, blocks)
@@ -423,13 +416,15 @@ def _prime_blocks(members, sweeps):
     sweeps' order that is no path, and a singleton for each node in none.
     They are disjoint, and each is a prefix of its source's run, so they
     tile the level: from each block's start, the node there takes the
-    largest module of its sweep that is short of the whole level and ends
+    largest module of its run that is short of the whole level and ends
     by the level's end, and the next block starts where it ends."""
-    n, j, blocks = len(members), 0, []
+    start, span = sweeps.start, sweeps.span
+    lo, n, j, blocks = sweeps.pos[members[0]], len(members), 0, []
     while j < n:
-        stop = min(n - 1, n - j)
-        _, sizes = sweeps(members[j], stop)
-        k = max(size for size in sizes if size <= stop)
+        a = lo + j
+        k = min(n - 1, n - j, span[members[j]])
+        while start[a + k] > a:
+            k -= 1
         blocks.append(members[j:j + k])
         j += k
     return blocks

@@ -289,6 +289,16 @@ def rand_structure(rng, n, labels=("s", "f", "m"), extra=0.6):
     return DecisionStructure(nodes, arcs)
 
 
+def comb(n):
+    """An n-level decision-tree comb: a top spine s0 ... s<n-1> with a bot
+    leaf l<i> at each level but the last."""
+    nodes = [("s%d" % i, "s%d" % i) for i in range(n)]
+    nodes += [("l%d" % i, "l%d" % i) for i in range(n - 1)]
+    arcs = [a for i in range(n - 1) for a in (
+        ("s%d" % i, "s%d" % (i + 1), "top"), ("s%d" % i, "l%d" % i, "bot"))]
+    return DecisionStructure(nodes, arcs)
+
+
 def rand_term(rng, labels=("s", "f"), max_leaves=6, canonical=False,
               actions=None):
     """A random operator term. With canonical=True the result is stable

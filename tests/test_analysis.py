@@ -38,7 +38,7 @@ import decstruct.analysis as analysis
 import decstruct.modules as modules
 from decstruct.analysis import classify_text
 from conftest import structure
-from oracles import (rand_arch_text, rand_pred_term, rand_structure,
+from oracles import (comb, rand_arch_text, rand_pred_term, rand_structure,
                      rand_term, seeded)
 
 # name -> (nodes, arcs, cyclomatic, essential)
@@ -204,16 +204,6 @@ def test_modules_and_decomposition_are_computed_once(monkeypatch, z):
     calls.clear()
     classify(z)
     assert calls == ["decompose", "_sweeps"]
-
-
-def comb(n):
-    """An n-level decision-tree comb: a top spine s0 ... s<n-1> with a bot
-    leaf l<i> at each level but the last."""
-    nodes = [("s%d" % i, "s%d" % i) for i in range(n)]
-    nodes += [("l%d" % i, "l%d" % i) for i in range(n - 1)]
-    arcs = [a for i in range(n - 1) for a in (
-        ("s%d" % i, "s%d" % (i + 1), "top"), ("s%d" % i, "l%d" % i, "bot"))]
-    return DecisionStructure(nodes, arcs)
 
 
 def test_extract_dt_of_small_combs_and_random_trees():

@@ -1,6 +1,7 @@
 """Module detection, quotients, contraction/expansion, decomposition."""
 
 import glob
+import hashlib
 import itertools
 import json
 import os
@@ -20,6 +21,7 @@ from decstruct import (
     SizeLimitExceeded,
     StructureError,
     block_id,
+    classify,
     construct_kbt,
     construct_tr,
     contract,
@@ -27,6 +29,7 @@ from decstruct import (
     derived_return,
     enumerate_modular_partitions,
     expand,
+    extract_kbt,
     find_modules,
     format_structure,
     is_module,
@@ -36,8 +39,9 @@ from decstruct import (
     structurally_equivalent,
 )
 from conftest import CORPUS, structure
-from oracles import (oracle_decompose, oracle_is_module, oracle_modules,
-                     oracle_sweep, rand_structure, rand_term, seeded)
+from oracles import (comb, oracle_decompose, oracle_is_module,
+                     oracle_modules, oracle_sweep, rand_structure, rand_term,
+                     seeded)
 
 
 def chain(n, label="d"):
@@ -464,24 +468,32 @@ def alternating_chain(n):
 
 def test_decompose_sweeps_only_the_source_of_a_chain(monkeypatch):
     # every prefix of a tr chain is a module, so sweeping each node to the
-    # chain's end would cost Θ(n²); the level is read off its source alone.
-    # An alternating chain nests a path per node, and each level is one
-    # pass over its own run: 301 + 300 + ... + 2 nodes
-    passes = []
-    real = modules._sweeps._sizes
+    # chain's end would cost Θ(n²); decompose builds one table and reads
+    # each level off its own source alone. An alternating chain nests a
+    # path per node, so its 300 levels read a0's 301 nodes, a1's 300, ...
+    tables, sweeps = [], []
+    real_init, real_sizes = modules._sweeps.__init__, modules._sweeps.sizes
 
-    def counted(self, seed, nodes):
-        passes.append(len(nodes))
-        return real(self, seed, nodes)
+    def init(self, z):
+        tables.append(z)
+        real_init(self, z)
 
-    monkeypatch.setattr(modules._sweeps, "_sizes", counted)
-    for z, children, work in (
-            (construct_tr(["a%d" % i for i in range(120)]), 120, (1, 120)),
-            (alternating_chain(301), 2, (300, 45450))):
-        passes.clear()
+    def sizes(self, a, stop):
+        sweeps.append((self.order[a], stop))
+        return real_sizes(self, a, stop)
+
+    monkeypatch.setattr(modules._sweeps, "__init__", init)
+    monkeypatch.setattr(modules._sweeps, "sizes", sizes)
+    for z, children, levels in (
+            (construct_tr(["a%d" % i for i in range(120)]), 120, 1),
+            (alternating_chain(301), 2, 300)):
+        tables.clear()
+        sweeps.clear()
         d = decompose(z)
         assert d.kind == "path" and len(d.children) == children
-        assert (len(passes), sum(passes)) == work
+        assert tables == [z]
+        n = len(z.nodes)
+        assert sweeps == [("a%d" % i, n - i) for i in range(levels)]
 
 
 def dominated(z, v):
@@ -503,8 +515,11 @@ def test_sweeps_are_runs_of_a_dominator_tree_preorder():
     # prefixes of the heap sweep by topological order
     rng = seeded(2121)
     inputs = kbt_structures() + large_kbt_structures() + nested_structures()
+    inputs += [alternating_chain(40), comb(30)]
     for i in range(2000):
-        z = rand_structure(rng, rng.randint(1, 12))
+        # the larger ones hold many open heads per label at once
+        z = rand_structure(rng, rng.randint(13, 60) if i % 20 < 2 else
+                           rng.randint(1, 12))
         if i % 2:
             nodes, arcs = list(z.nodes), list(z.arcs)
             rng.shuffle(nodes)
@@ -562,6 +577,38 @@ def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
         for m in subsets:
             assert sweeps.is_module(set(m)) == oracle_is_module(z, m), \
                 (format(z), m)
+
+
+# sha256 over decompose (the tree and every quotient's nodes and arcs),
+# classify, extract_kbt and find_modules of 5,000 seeded random structures
+# and k-BT terms, half with shuffled node and arc orders; first computed
+# before module prefixes were read off one interval table per structure
+MODULES_DIGEST = \
+    "7eeff4f91618717b755d3667f57c56f670c9302d639ca3ed267ded5cfffcf16c"
+
+
+def test_module_outputs_are_pinned_on_random_inputs():
+    rng = seeded(2727)
+    digest = hashlib.sha256()
+    for i in range(5000):
+        if i % 4 < 2:
+            z = rand_structure(rng, rng.randint(1, 16))
+        else:
+            z = construct_kbt(rand_term(rng, labels=("s", "f", "m"),
+                                        max_leaves=rng.randint(1, 20)))
+        if i % 2:
+            nodes, arcs = list(z.nodes), list(z.arcs)
+            rng.shuffle(nodes)
+            rng.shuffle(arcs)
+            z = DecisionStructure(nodes, arcs)
+        d = decompose(z)
+        rows = [json.dumps(d.to_dict())]
+        rows += [repr((level.quotient.nodes, level.quotient.arcs))
+                 for level in d.walk() if not level.is_leaf()]
+        rows += [repr(classify(z)), repr(extract_kbt(z)),
+                 repr([sorted(m) for m in find_modules(z)])]
+        digest.update("\n".join(rows).encode() + b"\0")
+    assert digest.hexdigest() == MODULES_DIGEST
 
 
 def test_modules_of_a_module_are_the_modules_of_z_inside_it():
