@@ -137,7 +137,7 @@ class _sweeps:
         n = len(order)
         self.start = start = [0] * (n + 1)
         for r in z.labels():
-            # n for the sink: no node id maps to it
+            # n, the sink, for a node without an r-arc
             heads = [pos.get(z.out[v].get(r), n) for v in order]
             last, live = [0] * (n + 1), []
             for t, h in enumerate(heads):
