@@ -150,11 +150,8 @@ class _sweeps:
                 live.append(t)
 
     def __call__(self, seed, stop=None):
-        return self.sweep(seed, len(self.order) if stop is None else stop)
-
-    def sweep(self, seed, stop):
         a = self.pos[seed]
-        sizes = self.sizes(a, stop)
+        sizes = self.sizes(a, len(self.order) if stop is None else stop)
         return self.order[a:a + sizes[-1]], sizes
 
     def sizes(self, a, stop):

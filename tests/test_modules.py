@@ -447,15 +447,15 @@ def test_decompose_matches_a_fresh_module_search_per_level():
 
 
 def count_sweeps(monkeypatch):
-    """The sweeps each context really runs, as (context, seed, stop)."""
+    """The table reads each context really runs, as (context, seed, stop)."""
     swept = []
-    real = modules._sweeps.sweep
+    real = modules._sweeps.sizes
 
-    def counted(self, seed, stop):
-        swept.append((self, seed, stop))
-        return real(self, seed, stop)
+    def counted(self, a, stop):
+        swept.append((self, self.order[a], stop))
+        return real(self, a, stop)
 
-    monkeypatch.setattr(modules._sweeps, "sweep", counted)
+    monkeypatch.setattr(modules._sweeps, "sizes", counted)
     return swept
 
 
@@ -559,8 +559,12 @@ def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
     for z in inputs:
         swept.clear()
         got = decompose(z)
-        seeds = [seed for _, seed, _ in swept]
-        assert len(seeds) == len(set(seeds)), format(z)
+        # one read per non-leaf level, of its source up to its size
+        pos = modules._sweeps(z).pos
+        levels = [(min(d.members, key=pos.get), len(d.members))
+                  for d in got.walk() if not d.is_leaf()]
+        reads = [(seed, stop) for _, seed, stop in swept]
+        assert sorted(reads) == sorted(levels), format(z)
         assert got.to_dict() == oracle_decompose(z).to_dict()
         ids = z.node_ids()
         if len(ids) <= 8:
