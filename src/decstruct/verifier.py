@@ -43,12 +43,14 @@ run of ids, and the search for a bad prefix queues them whole at a state
 that allows no world state outside p, looking at none of its edges
 (_bad_prefix). F p fails when P's edges cut to the states outside p hold
 a fair SCC that they reach from init (fair-cycle detection, Emerson &
-Lei, LICS 1986). Such an SCC lies in a fair SCC of P, so the cut edges
-inside P's fair SCCs are searched first: when they hold no accepting SCC,
-F p holds and nothing else is walked. Any other conjunct, and every
-conjunct under a bound, gets the automaton of the premises and its
-negation (entails). The stats count each automaton built once, so P
-counts once for all the conjuncts it decides.
+Lei, LICS 1986). Such an SCC lies in a fair SCC of P, so the accepting
+SCCs of that cut graph are those of the cut edges inside P's fair SCCs
+that init reaches: one SCC walk over those few edges decides F p, and
+the lasso search takes P's edges cut to the states outside p
+(_PremiseAutomaton.refute). Any other conjunct, and every conjunct under
+a bound, gets the automaton of the premises and its negation (entails).
+The stats count each automaton built once, so P counts once for all the
+conjuncts it decides.
 """
 
 from bisect import bisect_right
@@ -695,13 +697,14 @@ def _accepting_sccs(auto):
     return [comp for comp, seen in _sccs(auto).items() if seen == good]
 
 
-def _bfs_edges(auto, start, goal, allowed=None):
+def _bfs_edges(auto, start, goal, allowed=None, cut=-1):
     """Shortest edge path from `start` to the first edge (mask, succ,
     accept) with goal(succ, accept), taking states breadth first and each
     state's edges in cover order, and passing only through states in
     `allowed` when given; returns the path as a list of edges, each mask
-    cut to its state's, or None. A new state is queued at the first edge
-    that meets it."""
+    cut to its state's and to `cut`, or None. An edge that misses the
+    world states `cut` allows is not taken; at -1 every edge is. A new
+    state is queued at the first edge that meets it."""
     states, succs = auto.states, auto.succs
     parent = {start: None}
     queue = [start]
@@ -709,8 +712,10 @@ def _bfs_edges(auto, start, goal, allowed=None):
     while qi < len(queue):
         st = queue[qi]
         qi += 1
-        now = states[st][1]
+        now = states[st][1] & cut
         for mask, succ, acc in succs[st]:
+            if not mask & now:
+                continue
             if goal(succ, acc):
                 path = [(mask & now, succ, acc)]
                 while parent[st] is not None:
@@ -728,21 +733,26 @@ def _inside(sccs):
     return {st: comp for comp in sccs for st in comp}
 
 
-def _extract_lasso(world, auto, sccs):
+def _extract_lasso(world, auto, sccs, cut=-1):
+    """The lasso into the first of the accepting SCCs `sccs` that a
+    breadth-first search from init meets, over the edges cut to `cut`
+    (see _bfs_edges), or None when that search meets none."""
     inside = _inside(sccs)
     if auto.init in inside:
         prefix_edges = []
     else:
         prefix_edges = _bfs_edges(auto, auto.init,
-                                  lambda succ, acc: succ in inside)
-    return _lasso(world, auto, prefix_edges, inside)
+                                  lambda succ, acc: succ in inside, cut=cut)
+        if prefix_edges is None:
+            return None
+    return _lasso(world, auto, prefix_edges, inside, cut)
 
 
-def _lasso(world, auto, prefix_edges, inside):
+def _lasso(world, auto, prefix_edges, inside, cut=-1):
     """The lasso that takes `prefix_edges` from init into an accepting SCC
-    and then cycles there: from the entry state, the shortest path to an
-    edge that discharges each condition in turn that the cycle has not
-    yet discharged, then back to the entry."""
+    and then cycles there, over the edges cut to `cut`: from the entry
+    state, the shortest path to an edge that discharges each condition in
+    turn that the cycle has not yet discharged, then back to the entry."""
     entry = prefix_edges[-1][1] if prefix_edges else auto.init
     comp = inside[entry]
     cycle_edges = []
@@ -753,12 +763,12 @@ def _lasso(world, auto, prefix_edges, inside):
             continue
         seg = _bfs_edges(auto, cur,
                          lambda succ, acc: succ in comp and acc & bit,
-                         allowed=comp)
+                         allowed=comp, cut=cut)
         cycle_edges.extend(seg)
         cur = seg[-1][1]
     if cur != entry or not cycle_edges:
         seg = _bfs_edges(auto, cur, lambda succ, acc: succ == entry,
-                         allowed=comp)
+                         allowed=comp, cut=cut)
         cycle_edges.extend(seg)
 
     prefix = [world.min_state(e[0]) for e in prefix_edges]
@@ -829,7 +839,7 @@ class _PremiseAutomaton:
     discharge every condition (_accepting_sccs, found in the SCC walk).
     Neither search walks all of P when it need not: G p's follows P's
     breadth-first tree past the states outside m (_bad_prefix), and F p's
-    looks at the edges inside P's fair SCCs first."""
+    walks only the edges inside P's fair SCCs (see refute)."""
 
     def __init__(self, world, premises, limit):
         budget = Budget(limit)
@@ -840,52 +850,36 @@ class _PremiseAutomaton:
 
     def refute(self, op, m):
         """A counterexample to G p or F p (op "G" or "F"), where m is the
-        mask of not p, or None when the conjunct holds."""
-        return self.always(m) if op == "G" else self.eventually(m)
+        mask of not p, or None when the conjunct holds. Each lasso is the
+        one the automaton of the premises and not p would give.
 
-    def always(self, m):
-        """G p fails when a path of P from init takes a world state in m
-        and then enters a fair SCC. The lasso is the one the automaton of
-        the premises and F m would give: _bad_prefix, then the cycle."""
-        prefix = _bad_prefix(self.auto, m, self.inside)
-        if prefix is None:
-            return None
-        return _lasso(self.world, self.auto, prefix, self.inside)
+        G p fails when a path of P from init takes a world state in m and
+        then enters a fair SCC: _bad_prefix, then the cycle.
 
-    def eventually(self, m):
-        """F p fails when P's edges cut to m hold a fair SCC that they
-        reach from init; the lasso is that graph's (_cut). Such an SCC lies
-        in a fair SCC of P, so it lies in an accepting SCC of the cut edges
-        between the states of P's fair SCCs. When those edges hold none, F
-        p holds, and the cut graph is never built."""
+        F p fails when the cut graph, P's edges cut to m, holds an
+        accepting SCC that init reaches (Emerson & Lei, LICS 1986). Such
+        an SCC lies in a fair SCC of P, so its states are in `inside` and
+        its edges are inner edges: cut edges between states of `inside`.
+        An accepting SCC S of the inner edges lies in an SCC of the cut
+        graph, which is then accepting too, so lies in `inside` and equals
+        S. So the cut graph's accepting SCCs are the inner edges' accepting
+        SCCs that cut edges reach from init, and one SCC walk, over the
+        inner edges, finds them. The search from init over cut edges then
+        stops at the same first edge into one, and the cycle search takes
+        the same edges in the same order, as on the cut graph itself."""
         auto, inside = self.auto, self.inside
+        if op == "G":
+            prefix = _bad_prefix(auto, m, inside)
+            if prefix is None:
+                return None
+            return _lasso(self.world, auto, prefix, inside)
         states, succs = auto.states, auto.succs
         inner = {st: [e for e in succs[st]
                       if e[0] & states[st][1] & m and e[1] in inside]
                  for st in inside}
-        if not _accepting_sccs(_Automaton(states, inner, None,
-                                          auto.conditions, set())):
-            return None
-        cut = _cut(auto, m)
-        sccs = _accepting_sccs(cut)
-        return _extract_lasso(self.world, cut, sccs) if sccs else None
-
-
-def _cut(auto, m):
-    """auto with its edges cut to the world states in m, empty ones
-    dropped, and only the states those edges reach from init."""
-    states, succs = auto.states, auto.succs
-    cut = {auto.init: None}
-    queue = [auto.init]
-    for st in queue:
-        now = states[st][1] & m
-        cut[st] = out = [(mask & m, succ, acc)
-                         for mask, succ, acc in succs[st] if mask & now]
-        for _, succ, _ in out:
-            if succ not in cut:
-                cut[succ] = None
-                queue.append(succ)
-    return _Automaton(states, cut, auto.steps, auto.conditions, set())
+        sccs = _accepting_sccs(_Automaton(states, inner, None,
+                                          auto.conditions, set()))
+        return _extract_lasso(self.world, auto, sccs, m) if sccs else None
 
 
 def _bad_prefix(auto, m, inside):

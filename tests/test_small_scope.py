@@ -7,16 +7,21 @@ are every compressed operator term over the leaves a0 .. a(k-1), in every
 leaf order, for the same bounds. A structure is a k-BT exactly when one
 of those terms builds it, and its extracted term must rebuild it. It is
 a TR program exactly when a one-label term builds it, and its action list
-is then that term's leaves in order.
+is then that term's leaves in order. A structure over {s, f} is a DT
+exactly when a predicate tree of up to 5 nodes, over the actions in any
+order, builds it with top read as f and bot as s, and its extracted tree
+must rebuild it so.
 """
 
 import itertools
 
-from decstruct import (DecisionStructure, Leaf, Op, classify, construct_kbt,
-                       decompose, find_modules, structurally_equivalent)
+from decstruct import (DecisionStructure, Leaf, Op, Pred, classify,
+                       construct_dt, construct_kbt, decompose, find_modules,
+                       structurally_equivalent)
 from oracles import oracle_decompose, oracle_modules
 
 BOUNDS = (("sf", 5), ("sfm", 4))  # (labels, most nodes)
+DT_AS_SF = {"top": "f", "bot": "s"}
 
 
 def out_choices(i, n, labels):
@@ -61,6 +66,23 @@ def compressed_terms(leaves, labels, parent=None):
                     yield Op(label, list(children))
 
 
+def predicate_trees(actions):
+    """Every predicate tree whose preorder is these actions."""
+    if len(actions) == 1:
+        yield Leaf(actions[0])
+        return
+    for k in range(1, len(actions) - 1, 2):  # a full binary tree is odd
+        for yes in predicate_trees(actions[1:k + 1]):
+            for no in predicate_trees(actions[k + 1:]):
+                yield Pred(actions[0], yes, no)
+
+
+def as_sf(dt):
+    """A structure built from a predicate tree, top read as f, bot as s."""
+    return DecisionStructure(list(dt.nodes), [(t, h, DT_AS_SF[r])
+                                              for t, h, r in dt.arcs])
+
+
 def shape(z):
     """z up to its node ids, which distinct actions make a full key."""
     return (len(z.nodes),
@@ -91,7 +113,11 @@ def test_small_structures_match_the_oracles_and_the_kbt_claim():
     # to 4 leaves are counted twice and build the same structures
     assert (len(inputs), terms, len(built)) == (1045 + 952, 11369 + 2329,
                                                 13129)
-    kbts = trs = 0
+    dts = {shape(as_sf(construct_dt(tree)))
+           for n in range(1, BOUNDS[0][1] + 1)
+           for leaves in itertools.permutations("a%d" % i for i in range(n))
+           for tree in predicate_trees(leaves)}
+    kbts = trs = dt_count = 0
     for z in inputs:
         assert find_modules(z) == oracle_modules(z), z.arcs
         assert decompose(z).to_dict() == oracle_decompose(z).to_dict(), \
@@ -102,6 +128,12 @@ def test_small_structures_match_the_oracles_and_the_kbt_claim():
         assert result["is_tr"] == (shape(z) in chains), z.arcs
         assert result["tr"] == chains.get(shape(z)), z.arcs
         trs += result["is_tr"]
+        if set(z.labels()) <= {"s", "f"}:
+            assert result["is_dt"] == (shape(z) in dts), z.arcs
+            dt_count += result["is_dt"]
+            if result["is_dt"]:
+                assert structurally_equivalent(
+                    as_sf(construct_dt(result["dt"])), z), z.arcs
         if result["is_kbt"]:
             kbts += 1
             assert structurally_equivalent(construct_kbt(result["kbt"]), z)
@@ -109,3 +141,8 @@ def test_small_structures_match_the_oracles_and_the_kbt_claim():
     # the one-node structure, and for 2 to 5 nodes over {s, f} and 2 to 4
     # over {s, f, m} one chain per label
     assert trs == (1 + 4 * 2) + (1 + 3 * 3)
+    # the predicate trees of 1, 3 and 5 nodes over every action order; the
+    # DTs among the inputs: the one-node structure and the two 3-node trees
+    # rooted at n0, met in both enumerations, and 2 * 8 5-node trees, one
+    # per tree shape and topological order of its nodes
+    assert (len(dts), dt_count) == (1 + 6 + 2 * 120, 2 * (1 + 2) + 2 * 8)

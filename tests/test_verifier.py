@@ -764,6 +764,10 @@ def same_as_the_oracle(world, premises, phi, alone=None):
 FAR_FROM_FAIR = [(["m1 & X !m1 & X X !m1 & X X X G m0"], "G !m1"),
                  (["m1 & X (!m1 & X (!m1 & X (!m1 & X G m0)))"], "G !m1")]
 
+# A question on a one-bool world whose fair SCC holds edges cut to !p that
+# no edge cut to !p reaches from init, where p holds: F p holds.
+UNREACHED_CUT = (["p & X G !p"], "F p")
+
 
 def test_premise_questions_are_read_off_the_compiled_negation():
     w, _ = replay_world()
@@ -805,6 +809,12 @@ def test_g_and_f_conjuncts_match_one_entailment_each(world, specs,
     for premises, conclusion in FAR_FROM_FAIR:
         assert same_as_the_oracle(w, [parse_ltl(f) for f in premises],
                                   parse_ltl(conclusion)) == (True, True)
+    w1 = parse_world("bool p\n")
+    premises = [parse_ltl(f) for f in UNREACHED_CUT[0]]
+    conclusion = parse_ltl(UNREACHED_CUT[1])
+    assert same_as_the_oracle(w1, premises, conclusion) == (False, False)
+    assert refutes_as_the_oracle(w1, verifier._PremiseAutomaton(
+        w1, premises, 5_000_000), conclusion) == 0
     drone = world_atoms(world)
     counts = [0, 0, 0, 0]
     for name in ("z1", "z2", "z3", "z4"):
@@ -820,6 +830,34 @@ def test_g_and_f_conjuncts_match_one_entailment_each(world, specs,
         counts[3] += refutes_as_the_oracle(world, verifier._PremiseAutomaton(
             world, premises, 5_000_000), *phis)
     assert counts == [8, 7, 7, 12]
+
+
+def test_a_failing_f_p_takes_one_scc_walk(world, specs, monkeypatch):
+    """F storm fails on z2's premise automaton. Its refutation walks the
+    SCCs of one graph, the cut edges inside the fair SCCs, and gets the
+    lasso that the searches over the whole cut graph give."""
+    premise_auto = verifier._PremiseAutomaton(
+        world, _premises(structure("z2"), world, specs), 5_000_000)
+    question = verifier._premise_question(world, parse_ltl("F storm"))
+    calls = {"sccs": 0, "automata": 0}
+    walk = verifier._sccs
+
+    def counted_sccs(auto):
+        calls["sccs"] += 1
+        return walk(auto)
+
+    class Counted(_Automaton):
+        def __init__(self, *args, **kwargs):
+            calls["automata"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_sccs", counted_sccs)
+    monkeypatch.setattr(verifier, "_Automaton", Counted)
+    got = lasso(premise_auto.refute(*question))
+    assert calls == {"sccs": 1, "automata": 1}
+    assert got is not None
+    assert got == OraclePremiseAutomaton(world, premise_auto.auto).refute(
+        *question)
 
 
 def test_the_first_failing_conjunct_in_spec_order_is_reported():
