@@ -131,6 +131,8 @@ class DecisionStructure:
     # -- validation ------------------------------------------------------
 
     def _find_source(self):
+        if not self.nodes:
+            raise StructureError("structure has no nodes")
         roots = [i for i, _ in self.nodes if not self.preds[i]]
         if not roots:
             raise NoSource()

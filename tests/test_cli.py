@@ -59,6 +59,14 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_validate_of_a_structure_with_no_nodes(tmp_path, capsys):
+    empty = tmp_path / "empty.ds"
+    empty.write_text("decstruct v1\n")
+    for fmt in ("text", "json"):
+        assert run(capsys, "--format", fmt, "validate", str(empty)) == (
+            1, "", "error: structure has no nodes\n")
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/z.ds")
     assert code == 1

@@ -10,14 +10,17 @@ a TR program exactly when a one-label term builds it, and its action list
 is then that term's leaves in order. A structure over {s, f} is a DT
 exactly when a predicate tree of up to 5 nodes, over the actions in any
 order, builds it with top read as f and bot as s, and its extracted tree
-must rebuild it so.
+must rebuild it so. Contracting each nontrivial module of a structure
+and expanding it back gives the structure again, and the contracted
+structure fed the module's own derived return selects as it did.
 """
 
 import itertools
 
-from decstruct import (DecisionStructure, Leaf, Op, Pred, classify,
-                       construct_dt, construct_kbt, decompose, find_modules,
-                       structurally_equivalent)
+from decstruct import (DecisionStructure, Leaf, Op, Pred, block_id,
+                       classify, construct_dt, construct_kbt, contract,
+                       decompose, derived_return, expand, find_modules,
+                       nontrivial_modules, structurally_equivalent)
 from oracles import oracle_decompose, oracle_modules
 
 BOUNDS = (("sf", 5), ("sfm", 4))  # (labels, most nodes)
@@ -146,3 +149,33 @@ def test_small_structures_match_the_oracles_and_the_kbt_claim():
     # rooted at n0, met in both enumerations, and 2 * 8 5-node trees, one
     # per tree shape and topological order of its nodes
     assert (len(dts), dt_count) == (1 + 6 + 2 * 120, 2 * (1 + 2) + 2 * 8)
+
+
+def test_contract_and_expand_keep_every_small_structure():
+    """For each nontrivial module M of each input z, expanding the module
+    node of contract(z, M) by z.induced(M) gives z back, and under every
+    state, each action taking one of the labels or no value, the
+    contracted structure fed the induced part's derived return gives z's:
+    oracles.hierarchical_select, with both parts built once per (z, M)."""
+    pairs = states = 0
+    for labels, most in BOUNDS:
+        for n in range(2, most + 1):
+            actions = ["a%d" % i for i in range(n)]
+            every_state = [
+                {a: r for a, r in zip(actions, values) if r is not None}
+                for values in itertools.product((None, *labels), repeat=n)]
+            for z in small_structures(labels, n):
+                for members in nontrivial_modules(z):
+                    small, inner = contract(z, members), z.induced(members)
+                    node = block_id(members)
+                    assert structurally_equivalent(
+                        expand(small, node, inner), z), (z.arcs, members)
+                    module = small.action_of[node]
+                    for state in every_state:
+                        fed = dict(state)
+                        fed[module] = derived_return(inner, state)
+                        assert derived_return(small, fed) == derived_return(
+                            z, state), (z.arcs, members, state)
+                    pairs += 1
+                    states += len(every_state)
+    assert (pairs, states) == (2023, 476460)

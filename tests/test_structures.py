@@ -121,6 +121,15 @@ def test_validate_rejects_no_source():
                  [("a", "b", "s"), ("b", "a", "f")])
 
 
+def test_validate_rejects_a_structure_with_no_nodes():
+    for build in (lambda: validate([], []),
+                  lambda: DecisionStructure([], []),
+                  lambda: parse_structure("decstruct v1\n")):
+        with pytest.raises(StructureError) as err:
+            build()
+        assert str(err.value) == "structure has no nodes"
+
+
 def test_validate_rejects_unknown_endpoints_and_duplicate_ids():
     with pytest.raises(StructureError):
         validate([("a", "x")], [("a", "zz", "s")])

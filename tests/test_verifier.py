@@ -469,30 +469,35 @@ def test_products_match_the_flat_filter_call_by_call(monkeypatch):
     assert len(general) > 2000
 
 
-def test_set_covers_keep_only_prefixes_two_sets_share(monkeypatch):
-    """A key-order prefix that one obligation set alone has is never kept,
-    and the prefixes that are kept make up a small part of all asked for."""
-    asked = {}  # tableau -> prefix bits -> sets that have that prefix
+def test_set_covers_keeps_every_prefix_it_multiplies(monkeypatch):
+    """After each set_covers call, every key-order prefix of its members
+    that the call multiplied on is kept, up to the first empty product,
+    with the covers and the budget of the flat fold of that prefix."""
     real = verifier._Tableau.set_covers
+    counts = [0, 0]  # prefixes checked, calls that start from a kept one
 
     def set_covers(tableau, bits):
-        counts = asked.setdefault(tableau, {})
-        for head in key_order_heads(tableau, bits):
-            counts[head] = counts.get(head, 0) + 1
-        return real(tableau, bits)
+        heads = key_order_heads(tableau, bits)
+        start = max((j + 1 for j, head in enumerate(heads)
+                     if head in tableau.prefixes), default=0)
+        covers = real(tableau, bits)
+        if start and not tableau.prefixes[heads[start - 1]][0]:
+            return covers  # it starts from an empty product
+        counts[1] += start > 0
+        for head in heads[start:]:
+            assert tableau.prefixes.get(head) == oracle_set_covers(tableau,
+                                                                   head)
+            counts[0] += 1
+            if not tableau.prefixes[head][0]:
+                break
+        return covers
 
     monkeypatch.setattr(verifier._Tableau, "set_covers", set_covers)
     w, atoms = replay_world()
     rng = seeded(606)
     for _ in range(200):
         automaton(w, *rand_entailment(rng, atoms, depth=5))
-    once = kept = 0
-    for tableau, counts in asked.items():
-        for head in tableau.prefixes:
-            assert counts[head] >= 2
-        once += sum(n == 1 for n in counts.values())
-        kept += len(tableau.prefixes)
-    assert kept > 500 and once > kept
+    assert counts[0] > 2000 and counts[1] > 1000
 
 
 def test_a_limit_inside_a_kept_prefix_runs_out_there(monkeypatch):
@@ -544,7 +549,7 @@ def test_no_prefix_memo_outlives_its_tableau(monkeypatch):
     class Recorded(verifier._Tableau):
         def __init__(self, *args):
             super().__init__(*args)
-            assert not self.prefixes and not self.asked
+            assert not self.prefixes
             refs.append(weakref.ref(self))
 
         def set_covers(self, bits):
@@ -578,16 +583,15 @@ def test_dropping_dominated_covers_changes_no_observable(monkeypatch):
     without the dominance filter of _Tableau.product and merge. The
     corpus conjuncts are compared in the test above, which builds them
     anyway."""
-    real = verifier._covers
+    real = verifier._undominated
     drops = [0]
 
-    def counting(out, side):
-        gathered = len(out) + len(side)
-        covers = real(out, side)
-        drops[0] += len(covers) < gathered
-        return covers
+    def counting(covers):
+        kept = real(covers)
+        drops[0] += len(kept) < len(covers)
+        return kept
 
-    monkeypatch.setattr(verifier, "_covers", counting)
+    monkeypatch.setattr(verifier, "_undominated", counting)
 
     def same(*question):
         before = drops[0]
