@@ -35,7 +35,7 @@ def _complexity(z, tree):
     for d in tree.walk():
         if d.is_leaf():
             continue
-        c = cyclomatic(d.quotient)
+        c = d._cyclomatic
         if c > best or witness is None:
             best, witness = max(best, c), sorted(d.members)
     return {"cyclomatic": cyclomatic(z), "essential": best, "witness": witness}

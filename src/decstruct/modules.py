@@ -25,15 +25,17 @@ module inside X, read off the table up to the end of X's run, and the
 next block starts where that one ends (see _path_blocks and
 _prime_blocks). Either way the blocks are runs of X's run, the quotient
 lists them in that order, and its arcs are the in-arcs of the blocks'
-sources but the first (_level_arcs). A work list takes the levels in
-turn, so neither the build nor the tree's readers recurse per level; the
-one structure built per level is its quotient.
+sources but the first (_level_arcs). The block arcs give a prime
+level's child order and the level's cyclomatic number; its members and
+quotient are built only when read. A work list takes the levels in
+turn, so neither the build nor the tree's readers recurse per level.
 """
 
 from bisect import bisect
+from functools import cached_property
 
 from .logic import fold
-from .structures import DecisionStructure, StructureError
+from .structures import DecisionStructure, StructureError, _toposort
 
 
 class NotAModule(StructureError):
@@ -220,8 +222,11 @@ def quotient(z, blocks):
 def _quotient(z, blocks, arcs):
     """quotient, unchecked: blocks are modules of z with their sources in
     a topological order, and arcs, in order, the arcs among them as
-    (tail block, head block, label), block indexes into blocks."""
-    ids = [block_id(b) for b in blocks]
+    (tail block, head block, label), block indexes into blocks. A block
+    id that a node or an earlier block has gets a suffix, as in expand."""
+    taken = set(z.action_of)
+    ids = [block_id(b) if len(b) == 1 else _fresh(block_id(b), taken)
+           for b in blocks]
     qnodes = [(bid, z.action_of[next(iter(b))] if len(b) == 1 else bid)
               for bid, b in zip(ids, blocks)]
     qarcs = dict.fromkeys((ids[i], ids[j], r) for i, j, r in arcs if i != j)
@@ -249,16 +254,7 @@ def expand(z, v, q):
     if v not in z.action_of:
         raise StructureError("unknown node %r" % v)
     taken = set(z.action_of) - {v}
-    rename = {}
-    for u, _ in q.nodes:
-        if u not in taken:
-            rename[u] = u
-        else:
-            k = 2
-            while "%s_%d" % (u, k) in taken:
-                k += 1
-            rename[u] = "%s_%d" % (u, k)
-        taken.add(rename[u])
+    rename = {u: _fresh(u, taken) for u, _ in q.nodes}
     nodes = [(i, a) for i, a in z.nodes if i != v]
     nodes += [(rename[u], a) for u, a in q.nodes]
     arcs = [(t, h, r) for t, h, r in z.arcs if t != v and h != v]
@@ -272,6 +268,15 @@ def expand(z, v, q):
     return DecisionStructure(nodes, arcs)
 
 
+def _fresh(u, taken):
+    """u, else u_2, u_3, ...: the first id not in taken, now added to it."""
+    v, k = u, 2
+    while v in taken:
+        v, k = "%s_%d" % (u, k), k + 1
+    taken.add(v)
+    return v
+
+
 # -- modular decomposition -------------------------------------------------
 
 
@@ -280,17 +285,30 @@ class DecompositionNode:
 
     kind is "leaf" for a single node, otherwise "path" when the quotient
     graph is a directed path whose arcs all carry one label, or "prime".
+
+    members and quotient are built on first read, from the arguments of
+    _quotient that decompose keeps as _level; it also counts the
+    quotient's cyclomatic number, _cyclomatic.
     """
 
     def __init__(self, kind, members, label=None, node=None, action=None,
                  children=None, quotient=None):
         self.kind = kind
-        self.members = frozenset(members)
+        self._members = members
         self.label = label
         self.node = node
         self.action = action
         self.children = children or []
-        self.quotient = quotient
+        if quotient is not None:
+            self.quotient = quotient
+
+    @cached_property
+    def members(self):
+        return frozenset(self._members)
+
+    @cached_property
+    def quotient(self):
+        return None if self.is_leaf() else _quotient(*self._level)
 
     def is_leaf(self):
         return self.kind == "leaf"
@@ -355,13 +373,17 @@ def decompose(z):
         if kind == "path" and any(t != h - 1 or r != label
                                   for t, h, r in arcs):
             raise StructureError("chain quotient is not a uniform path")
-        q = _quotient(z, blocks, arcs)
-        if kind == "prime":
-            at = {qid: j for j, (qid, _) in enumerate(q.nodes)}
-            blocks = [blocks[at[qid]] for qid in q.topological_order()]
+        # the quotient's out-arcs: parallel block arcs are one arc
+        out = [{} for _ in blocks]
+        for t, h, r in arcs:
+            out[t][r] = h
         d = slots[i] = DecompositionNode(kind, members, label=label,
-                                         children=[None] * len(blocks),
-                                         quotient=q)
+                                         children=[None] * len(blocks))
+        # its arcs, plus an exit per sink, minus its nodes, plus one
+        d._cyclomatic = sum(len(o) or 1 for o in out) - len(blocks) + 1
+        d._level = z, blocks, arcs
+        if kind == "prime":  # children in the quotient's topological order
+            blocks = [blocks[j] for j in _toposort(range(len(blocks)), out)]
         todo.extend((b[0], len(b), d.children, j)
                     for j, b in enumerate(blocks))
     return root[0]

@@ -157,6 +157,31 @@ def oracle_decompose(z):
                              children=children, quotient=q)
 
 
+def check_levels(z):
+    """decompose(z) against the quotients it builds when read and against
+    oracle_decompose: at every non-leaf level, the cyclomatic number that
+    analysis reads off the level is that of its quotient, the children
+    come in the quotient's topological order, and the members are the
+    oracle's. Returns the number of non-leaf levels."""
+    from decstruct.analysis import _complexity, cyclomatic
+    from decstruct.modules import block_id, decompose
+    got, want = decompose(z), oracle_decompose(z)
+    assert got.to_dict() == want.to_dict()
+    best, levels = 1, 0
+    for d, w in zip(got.walk(), want.walk()):
+        assert d.members == w.members
+        if d.is_leaf():
+            continue
+        levels += 1
+        q = d.quotient
+        assert d._cyclomatic == cyclomatic(q)
+        assert [block_id(c.members) for c in d.children] == \
+            q.topological_order()
+        best = max(best, cyclomatic(q))
+    assert _complexity(z, got)["essential"] == best
+    return levels
+
+
 # -- operator trees, by the climbing rule -------------------------------------
 
 

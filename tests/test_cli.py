@@ -188,6 +188,31 @@ def test_decompose_text_and_json(capsys):
     assert tree["kind"] == "path" and tree["label"] == "f"
 
 
+def test_a_node_named_like_a_block(tmp_path, capsys):
+    # {a, b} is a module, and a node already has its block id mod(a,b)
+    path = tmp_path / "taken.ds"
+    path.write_text("decstruct v1\nnode r r\nnode a a\nnode b b\n"
+                    "node mod(a,b) m\narc r a s\narc a b s\n"
+                    "arc r mod(a,b) f\n")
+    want = {"decompose": "prime {a,b,mod(a,b),r}\n  leaf r (r)\n"
+                         "  path[s] {a,b}\n    leaf a (a)\n    leaf b (b)\n"
+                         "  leaf mod(a,b) (m)\n",
+            "classify": "essential   2\nwitness     {a,b,mod(a,b),r}\n"}
+    for cmd, text in want.items():
+        code, out, err = run(capsys, cmd, str(path))
+        assert (code, err) == (0, "") and text in out
+        code, out, err = run(capsys, "--format", "json", cmd, str(path))
+        assert (code, err) == (0, "")
+        if cmd == "classify":
+            assert json.loads(out)["essential"] == 2
+        else:
+            assert json.loads(out)["kind"] == "prime"
+    code, out, err = run(capsys, "contract", str(path), "--module", "a,b")
+    assert (code, err) == (0, "")
+    assert out == ("decstruct v1\nnode r r\nnode mod(a,b)_2 mod(a,b)_2\n"
+                   "node mod(a,b) m\narc r mod(a,b)_2 s\narc r mod(a,b) f\n")
+
+
 def test_complexity_output(capsys):
     code, out, _ = run(capsys, "complexity", corpus_path("z2.ds"))
     assert code == 0

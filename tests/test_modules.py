@@ -22,6 +22,7 @@ from decstruct import (
     StructureError,
     block_id,
     classify,
+    complexity_report,
     construct_kbt,
     construct_tr,
     contract,
@@ -39,9 +40,9 @@ from decstruct import (
     structurally_equivalent,
 )
 from conftest import CORPUS, structure
-from oracles import (comb, oracle_decompose, oracle_is_module,
-                     oracle_modules, oracle_sweep, rand_structure, rand_term,
-                     seeded)
+from oracles import (check_levels, comb, oracle_decompose,
+                     oracle_is_module, oracle_modules, oracle_sweep,
+                     rand_structure, rand_term, seeded)
 
 
 def chain(n, label="d"):
@@ -220,6 +221,31 @@ def test_quotient_checks_every_block_against_one_sweep_context(monkeypatch):
         assert sorted(q.arcs) == sorted(z.arcs)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+def block_id_taken():
+    """r -s-> a -s-> b and r -f-> a node named mod(a,b): the module {a, b}
+    has a block id that a node already has."""
+    return DecisionStructure(
+        [("r", "r"), ("a", "a"), ("b", "b"), ("mod(a,b)", "m")],
+        [("r", "a", "s"), ("a", "b", "s"), ("r", "mod(a,b)", "f")])
+
+
+def test_block_ids_taken_by_nodes_get_a_suffix():
+    z = block_id_taken()
+    want = ([("r", "r"), ("mod(a,b)_2", "mod(a,b)_2"), ("mod(a,b)", "m")],
+            [("r", "mod(a,b)_2", "s"), ("r", "mod(a,b)", "f")])
+    d = decompose(z)
+    for q in (contract(z, {"a", "b"}), d.quotient,
+              quotient(z, [{"mod(a,b)"}, {"a", "b"}, {"r"}])):
+        assert (q.nodes, q.arcs) == want
+    assert structurally_equivalent(
+        expand(d.quotient, "mod(a,b)_2", z.induced({"a", "b"})), z)
+    # with mod(a,b)_2 taken too, the next suffix
+    z = DecisionStructure(z.nodes + [("mod(a,b)_2", "n")],
+                          z.arcs + [("mod(a,b)", "mod(a,b)_2", "s")])
+    assert contract(z, {"a", "b"}).node_ids() == [
+        "r", "mod(a,b)_3", "mod(a,b)", "mod(a,b)_2"]
 
 
 def test_quotient_validates_partitions():
@@ -496,6 +522,29 @@ def test_decompose_sweeps_only_the_source_of_a_chain(monkeypatch):
         assert sweeps == [("a%d" % i, n - i) for i in range(levels)]
 
 
+def test_decompose_builds_no_structure_per_level(monkeypatch):
+    # the levels keep their blocks and block arcs; a quotient is built on
+    # its first read and kept. btswitch nests paths only, z2 has primes
+    built = []
+    real = DecisionStructure.__init__
+
+    def counted(self, nodes, arcs):
+        built.append(self)
+        real(self, nodes, arcs)
+
+    inputs = [alternating_chain(301),
+              construct_tr(["a%d" % i for i in range(120)]),
+              structure("btswitch"), structure("z2")]
+    monkeypatch.setattr(DecisionStructure, "__init__", counted)
+    for z in inputs:
+        for run in (decompose, classify, complexity_report):
+            run(z)
+            assert built == [], (run.__name__, len(z.nodes))
+    prime = next(d for d in decompose(inputs[3]).walk() if d.kind == "prime")
+    q = prime.quotient
+    assert built == [q] and prime.quotient is q
+
+
 def dominated(z, v):
     """The nodes v dominates, by brute force: v, and those z's source no
     longer reaches once v is gone."""
@@ -583,17 +632,10 @@ def test_sweeps_run_once_per_seed_and_match_the_oracles(monkeypatch):
                 (format(z), m)
 
 
-# sha256 over decompose (the tree and every quotient's nodes and arcs),
-# classify, extract_kbt and find_modules of 5,000 seeded random structures
-# and k-BT terms, half with shuffled node and arc orders; first computed
-# before module prefixes were read off one interval table per structure
-MODULES_DIGEST = \
-    "7eeff4f91618717b755d3667f57c56f670c9302d639ca3ed267ded5cfffcf16c"
-
-
-def test_module_outputs_are_pinned_on_random_inputs():
+def pinned_inputs():
+    """5,000 seeded random structures and k-BT terms, half with shuffled
+    node and arc orders."""
     rng = seeded(2727)
-    digest = hashlib.sha256()
     for i in range(5000):
         if i % 4 < 2:
             z = rand_structure(rng, rng.randint(1, 16))
@@ -605,6 +647,19 @@ def test_module_outputs_are_pinned_on_random_inputs():
             rng.shuffle(nodes)
             rng.shuffle(arcs)
             z = DecisionStructure(nodes, arcs)
+        yield z
+
+
+# sha256 over decompose (the tree and every quotient's nodes and arcs),
+# classify, extract_kbt and find_modules of pinned_inputs(); first computed
+# before module prefixes were read off one interval table per structure
+MODULES_DIGEST = \
+    "7eeff4f91618717b755d3667f57c56f670c9302d639ca3ed267ded5cfffcf16c"
+
+
+def test_module_outputs_are_pinned_on_random_inputs():
+    digest = hashlib.sha256()
+    for z in pinned_inputs():
         d = decompose(z)
         rows = [json.dumps(d.to_dict())]
         rows += [repr((level.quotient.nodes, level.quotient.arcs))
@@ -613,6 +668,10 @@ def test_module_outputs_are_pinned_on_random_inputs():
                  repr([sorted(m) for m in find_modules(z)])]
         digest.update("\n".join(rows).encode() + b"\0")
     assert digest.hexdigest() == MODULES_DIGEST
+
+
+def test_levels_read_as_their_quotients_on_random_inputs():
+    assert sum(map(check_levels, pinned_inputs())) == 11396
 
 
 def test_modules_of_a_module_are_the_modules_of_z_inside_it():

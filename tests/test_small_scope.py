@@ -10,9 +10,12 @@ a TR program exactly when a one-label term builds it, and its action list
 is then that term's leaves in order. A structure over {s, f} is a DT
 exactly when a predicate tree of up to 5 nodes, over the actions in any
 order, builds it with top read as f and bot as s, and its extracted tree
-must rebuild it so. Contracting each nontrivial module of a structure
-and expanding it back gives the structure again, and the contracted
-structure fed the module's own derived return selects as it did.
+must rebuild it so. What decompose reads off a level's block arcs, the
+cyclomatic number and the children's order, is what the level's
+quotient gives once built. Contracting each nontrivial module of a
+structure and expanding it back gives the structure again, and the
+contracted structure fed the module's own derived return selects as it
+did.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from decstruct import (DecisionStructure, Leaf, Op, Pred, block_id,
                        classify, construct_dt, construct_kbt, contract,
                        decompose, derived_return, expand, find_modules,
                        nontrivial_modules, structurally_equivalent)
-from oracles import oracle_decompose, oracle_modules
+from oracles import check_levels, oracle_decompose, oracle_modules
 
 BOUNDS = (("sf", 5), ("sfm", 4))  # (labels, most nodes)
 DT_AS_SF = {"top": "f", "bot": "s"}
@@ -149,6 +152,16 @@ def test_small_structures_match_the_oracles_and_the_kbt_claim():
     # rooted at n0, met in both enumerations, and 2 * 8 5-node trees, one
     # per tree shape and topological order of its nodes
     assert (len(dts), dt_count) == (1 + 6 + 2 * 120, 2 * (1 + 2) + 2 * 8)
+
+
+def test_small_structures_read_their_levels_as_built():
+    """What decompose reads off each level without a quotient, the
+    cyclomatic number and the children's order, is what the quotient built
+    on first read gives, and the members are oracle_decompose's."""
+    levels = sum(check_levels(z) for labels, most in BOUNDS
+                 for n in range(1, most + 1)
+                 for z in small_structures(labels, n))
+    assert levels == 3575
 
 
 def test_contract_and_expand_keep_every_small_structure():
