@@ -14,21 +14,23 @@ v's run. Which prefixes are modules is one interval condition on the
 heads of the arcs leaving them, so one pass per label gives, for every
 end b of a run, the least start from which the run up to b is a module.
 is_module is a test of that table plus the member check, find_modules
-lists each node's module prefixes off it, and quotient checks every
-block against one table.
+lists the module ends from each position off it, and quotient checks
+every block against one table.
 
-decompose reads one table and builds no sub-structure. Each tree level
-X is the prefix of its source's run of length |X|. It is cut into path
-blocks where a module prefix leaves only into the next node, or else
-prime: from the start of X's run, the node there takes its largest
-module inside X, read off the table up to the end of X's run, and the
-next block starts where that one ends (see _path_blocks and
-_prime_blocks). Either way the blocks are runs of X's run, the quotient
-lists them in that order, and its arcs are the in-arcs of the blocks'
+decompose reads one table and builds no sub-structure, and it copies
+no member list: each tree level X is two positions, order[lo:end], a
+prefix of its source's run, and its blocks are cuts [lo, ..., end]
+between them. X is cut into path blocks where a module prefix leaves
+only into the next node, or else prime: from lo, the node at each cut
+takes its largest module inside X, read off the table up to end, and
+the next cut is where that one ends (see _path_blocks and
+_prime_blocks). Either way the blocks are runs of X in order, the
+quotient lists them so, and its arcs are the in-arcs of the blocks'
 sources but the first (_level_arcs). The block arcs give a prime
 level's child order and the level's cyclomatic number; its members and
-quotient are built only when read. A work list takes the levels in
-turn, so neither the build nor the tree's readers recurse per level.
+quotient are sliced out of the order only when read. A work list takes
+the levels in turn, so neither the build nor the tree's readers recurse
+per level.
 """
 
 from bisect import bisect
@@ -74,11 +76,9 @@ def is_module(z, members):
 
 
 class _sweeps:
-    """The module prefixes of z's dominator-tree preorder:
-    sweeps(seed, stop) -> (order, sizes). sizes lists, from 1 up to stop
-    (without bound when stop is None), each k such that the run of the
-    order from seed cut to k nodes is a module, and order is that run cut
-    to the last of them.
+    """The module table of z's dominator-tree preorder `order`: ends(a,
+    end) lists each b <= end such that the run order[a:b] is a module,
+    and is_module tests a node set against it.
 
     The nodes v dominates are those every path from z's source to them
     passes. In the preorder `order` of z's dominator tree, children in z's
@@ -151,15 +151,10 @@ class _sweeps:
                     start[t + 1] = live[-1] + 1
                 live.append(t)
 
-    def __call__(self, seed, stop=None):
-        a = self.pos[seed]
-        sizes = self.sizes(a, len(self.order) if stop is None else stop)
-        return self.order[a:a + sizes[-1]], sizes
-
-    def sizes(self, a, stop):
-        """The sizes k <= stop of the modules order[a:a + k]."""
+    def ends(self, a, end):
+        """The ends b <= end of the modules order[a:b]."""
         start = self.start
-        return [b - a for b in range(a + 1, a + min(stop, self.span[
+        return [b for b in range(a + 1, min(end, a + self.span[
             self.order[a]]) + 1) if start[b] <= a]
 
     def is_module(self, members):
@@ -174,9 +169,9 @@ class _sweeps:
 
 def find_modules(z):
     """All modules with at least two nodes, including the full node set."""
-    sweeps = _sweeps(z)
-    found = [frozenset(order[:k])
-             for order, sizes in map(sweeps, z.action_of) for k in sizes[1:]]
+    sweeps, n = _sweeps(z), len(z.nodes)
+    found = [frozenset(sweeps.order[a:b]) for a in range(n)
+             for b in sweeps.ends(a, n)[1:]]
     return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
@@ -286,29 +281,38 @@ class DecompositionNode:
     kind is "leaf" for a single node, otherwise "path" when the quotient
     graph is a directed path whose arcs all carry one label, or "prime".
 
-    members and quotient are built on first read, from the arguments of
-    _quotient that decompose keeps as _level; it also counts the
-    quotient's cyclomatic number, _cyclomatic.
+    decompose keeps a non-leaf level as _level = (z, order, cuts, arcs):
+    the level is order[cuts[0]:cuts[-1]] of the module table's preorder,
+    its blocks the runs between consecutive cuts, and arcs the quotient's
+    block arcs. members and quotient, unless given, are sliced out of
+    order on first read and kept, so every reader sees the same ones.
+    decompose also counts the quotient's cyclomatic number, _cyclomatic.
     """
 
     def __init__(self, kind, members, label=None, node=None, action=None,
                  children=None, quotient=None):
         self.kind = kind
-        self._members = members
         self.label = label
         self.node = node
         self.action = action
         self.children = children or []
+        if members is not None:
+            self.members = frozenset(members)
         if quotient is not None:
             self.quotient = quotient
 
     @cached_property
     def members(self):
-        return frozenset(self._members)
+        _, order, cuts, _ = self._level
+        return frozenset(order[cuts[0]:cuts[-1]])
 
     @cached_property
     def quotient(self):
-        return None if self.is_leaf() else _quotient(*self._level)
+        if self.is_leaf():
+            return None
+        z, order, cuts, arcs = self._level
+        return _quotient(z, [order[a:b] for a, b in zip(cuts, cuts[1:])],
+                         arcs)
 
     def is_leaf(self):
         return self.kind == "leaf"
@@ -353,100 +357,96 @@ def decompose(z):
     """Modular decomposition of a decision structure, built from z and its
     module table alone (see the module docstring)."""
     sweeps = _sweeps(z)
-    pos, order = sweeps.pos, sweeps.order
+    order = sweeps.order
     arc_pos = {(t, r): i for i, (t, _, r) in enumerate(z.arcs)}
     root = [None]
-    todo = [(z.source, len(z.nodes), root, 0)]  # level, and its slot
+    todo = [(0, len(order), root, 0)]  # level order[lo:end], and its slot
     while todo:
-        source, n, slots, i = todo.pop()
-        if n == 1:
-            slots[i] = DecompositionNode("leaf", [source], node=source,
-                                         action=z.action_of[source])
+        lo, end, slots, i = todo.pop()
+        if end - lo == 1:
+            v = order[lo]
+            slots[i] = DecompositionNode("leaf", [v], node=v,
+                                         action=z.action_of[v])
             continue
-        a = pos[source]
-        members = order[a:a + n]
-        blocks = _path_blocks(z, pos, members, sweeps.sizes(a, n))
-        kind = "path" if blocks else "prime"
-        blocks = blocks or _prime_blocks(members, sweeps)
-        arcs = _level_arcs(z, pos, arc_pos, blocks)
+        cuts = _path_blocks(z, sweeps, lo, end)
+        kind = "path" if cuts else "prime"
+        cuts = cuts or _prime_blocks(sweeps, lo, end)
+        arcs = _level_arcs(z, sweeps, arc_pos, cuts)
         label = arcs[0][2] if kind == "path" else None
         if kind == "path" and any(t != h - 1 or r != label
                                   for t, h, r in arcs):
             raise StructureError("chain quotient is not a uniform path")
         # the quotient's out-arcs: parallel block arcs are one arc
-        out = [{} for _ in blocks]
+        out = [{} for _ in cuts[1:]]
         for t, h, r in arcs:
             out[t][r] = h
-        d = slots[i] = DecompositionNode(kind, members, label=label,
-                                         children=[None] * len(blocks))
+        d = slots[i] = DecompositionNode(kind, None, label=label,
+                                         children=[None] * len(out))
         # its arcs, plus an exit per sink, minus its nodes, plus one
-        d._cyclomatic = sum(len(o) or 1 for o in out) - len(blocks) + 1
-        d._level = z, blocks, arcs
+        d._cyclomatic = sum(len(o) or 1 for o in out) - len(out) + 1
+        d._level = z, order, cuts, arcs
+        blocks = range(len(out))
         if kind == "prime":  # children in the quotient's topological order
-            blocks = [blocks[j] for j in _toposort(range(len(blocks)), out)]
-        todo.extend((b[0], len(b), d.children, j)
-                    for j, b in enumerate(blocks))
+            blocks = _toposort(blocks, out)
+        todo.extend((cuts[j], cuts[j + 1], d.children, c)
+                    for c, j in enumerate(blocks))
     return root[0]
 
 
-def _path_blocks(z, pos, members, sizes):
-    """A level's blocks as a path, or None. members, the level as a run of
-    the sweeps' order, splits at k when members[:k] is a module and no arc
-    jumps from before k to past it: members[:k] then leaves only into
-    members[k], so the slices between split points are modules. Arcs run
-    forward in the order and leave the level past its end, so positions
-    tell how far an arc jumps; only members up to the last proper module
-    are read."""
-    lo = pos[members[0]]
-    end = lo + len(members)
-    cuts, reach, start = [0], -1, 0
-    for k in sizes:
-        if k >= len(members):
-            break
-        for v in members[start:k]:
+def _path_blocks(z, sweeps, lo, end):
+    """The cuts [lo, ..., end] of the level order[lo:end] as a path, or
+    None. It cuts at b when order[lo:b] is a module and no arc jumps from
+    before b to past it: order[lo:b] then leaves only into order[b], so
+    the runs between cuts are modules. Arcs run forward in the order and
+    leave the level past its end, so positions tell how far an arc jumps;
+    only members up to the last proper module are read. The level is a
+    module, so its last module end is end itself."""
+    order, pos = sweeps.order, sweeps.pos
+    cuts, reach, a = [lo], -1, lo
+    for b in sweeps.ends(lo, end)[:-1]:
+        for v in order[a:b]:
             for h in z.out[v].values():
                 at = pos[h]
                 if reach < at < end:
                     reach = at
-        start = k
-        if reach <= lo + k:
-            cuts.append(k)
+        a = b
+        if reach <= b:
+            cuts.append(b)
     if len(cuts) == 1:
         return None
-    cuts.append(len(members))
-    return [members[a:b] for a, b in zip(cuts, cuts[1:])]
+    cuts.append(end)
+    return cuts
 
 
-def _level_arcs(z, pos, arc_pos, blocks):
-    """The quotient arcs of a level cut into blocks, runs of the sweeps'
-    order in order, as (tail block, head block, label) in the order of
-    their arcs in z.arcs. Arcs entering a module land on its source, so
+def _level_arcs(z, sweeps, arc_pos, cuts):
+    """The quotient arcs of a level cut into blocks, order[a:b] for each
+    two cuts a, b in turn, as (tail block, head block, label) in the order
+    of their arcs in z.arcs. Arcs entering a module land on its source, so
     the in-arcs of each block's source but the first's are the arcs
     between blocks; a tail's block is the last to start at or before it."""
-    starts = [pos[b[0]] for b in blocks]
-    arcs = sorted((arc_pos[t, r], bisect(starts, pos[t]) - 1, j, r)
-                  for j in range(1, len(blocks))
-                  for t, r in z.preds[blocks[j][0]])
+    order, pos = sweeps.order, sweeps.pos
+    arcs = sorted((arc_pos[t, r], bisect(cuts, pos[t]) - 1, j, r)
+                  for j in range(1, len(cuts) - 1)
+                  for t, r in z.preds[order[cuts[j]]])
     return [arc[1:] for arc in arcs]
 
 
-def _prime_blocks(members, sweeps):
-    """The maximal proper modules of the level members, a run of the
-    sweeps' order that is no path, and a singleton for each node in none.
-    They are disjoint, and each is a prefix of its source's run, so they
-    tile the level: from each block's start, the node there takes the
-    largest module of its run that is short of the whole level and ends
-    by the level's end, and the next block starts where it ends."""
-    start, span = sweeps.start, sweeps.span
-    lo, n, j, blocks = sweeps.pos[members[0]], len(members), 0, []
-    while j < n:
-        a = lo + j
-        k = min(n - 1, n - j, span[members[j]])
-        while start[a + k] > a:
-            k -= 1
-        blocks.append(members[j:j + k])
-        j += k
-    return blocks
+def _prime_blocks(sweeps, lo, end):
+    """The cuts [lo, ..., end] of the level order[lo:end], which is no
+    path, into its maximal proper modules and a singleton for each node in
+    none. They are disjoint, and each is a prefix of its source's run, so
+    they tile the level: from each cut a, order[a] takes the largest
+    module of its run that is short of the whole level and ends by the
+    level's end, and the next cut is where it ends."""
+    order, start, span = sweeps.order, sweeps.start, sweeps.span
+    cuts = [lo]
+    while cuts[-1] < end:
+        a = cuts[-1]
+        b = min(a + span[order[a]], end if a > lo else end - 1)
+        while start[b] > a:
+            b -= 1
+        cuts.append(b)
+    return cuts
 
 
 def enumerate_modular_partitions(z, limit=8):

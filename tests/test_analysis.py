@@ -217,8 +217,9 @@ def test_extract_dt_of_small_combs_and_random_trees():
 
 
 def test_classify_deep_comb_without_recursion():
-    # 250 levels at a recursion limit of 120; decompose grows faster than
-    # linearly on combs, so a deeper one would take seconds. The extracted
+    # 250 levels at a recursion limit of 120, in a fresh process; the
+    # numbers of the 1,000-level comb are pinned in process by
+    # test_deep_chain_and_comb_have_their_closed_forms. The extracted
     # term is rebuilt and compared as a structure, as == would recurse
     code = textwrap.dedent("""
         import json, sys

@@ -387,9 +387,9 @@ def test_decompose_invariant_survives_optimized_python(monkeypatch):
     # after them, which is no path at the top: in the chain a0 -s-> a1
     # -f-> a2 -s-> a3, a2 is entered with f and a3 with s; in skips, v is
     # entered from u and from p, two blocks before it, with one label s
-    def cut(z, pos, members, sizes):
-        k = 2 if len(members) > 2 else 1  # no block is the whole level
-        return [members[:k]] + [[v] for v in members[k:]]
+    def cut(z, sweeps, lo, end):
+        k = 2 if end - lo > 2 else 1  # no block is the whole level
+        return [lo] + list(range(lo + k, end + 1))
 
     monkeypatch.setattr(modules, "_path_blocks", cut)
     skips = DecisionStructure(
@@ -473,15 +473,16 @@ def test_decompose_matches_a_fresh_module_search_per_level():
 
 
 def count_sweeps(monkeypatch):
-    """The table reads each context really runs, as (context, seed, stop)."""
+    """The table reads each context really runs, as (context, seed, stop),
+    stop the length of the run order[a:end] read."""
     swept = []
-    real = modules._sweeps.sizes
+    real = modules._sweeps.ends
 
-    def counted(self, a, stop):
-        swept.append((self, self.order[a], stop))
-        return real(self, a, stop)
+    def counted(self, a, end):
+        swept.append((self, self.order[a], end - a))
+        return real(self, a, end)
 
-    monkeypatch.setattr(modules._sweeps, "sizes", counted)
+    monkeypatch.setattr(modules._sweeps, "ends", counted)
     return swept
 
 
@@ -498,18 +499,18 @@ def test_decompose_sweeps_only_the_source_of_a_chain(monkeypatch):
     # each level off its own source alone. An alternating chain nests a
     # path per node, so its 300 levels read a0's 301 nodes, a1's 300, ...
     tables, sweeps = [], []
-    real_init, real_sizes = modules._sweeps.__init__, modules._sweeps.sizes
+    real_init, real_ends = modules._sweeps.__init__, modules._sweeps.ends
 
     def init(self, z):
         tables.append(z)
         real_init(self, z)
 
-    def sizes(self, a, stop):
-        sweeps.append((self.order[a], stop))
-        return real_sizes(self, a, stop)
+    def ends(self, a, end):
+        sweeps.append((self.order[a], end - a))
+        return real_ends(self, a, end)
 
     monkeypatch.setattr(modules._sweeps, "__init__", init)
-    monkeypatch.setattr(modules._sweeps, "sizes", sizes)
+    monkeypatch.setattr(modules._sweeps, "ends", ends)
     for z, children, levels in (
             (construct_tr(["a%d" % i for i in range(120)]), 120, 1),
             (alternating_chain(301), 2, 300)):
@@ -584,12 +585,16 @@ def test_sweeps_are_runs_of_a_dominator_tree_preorder():
         for v in z.action_of:
             run = order[pos[v]:pos[v] + sweeps.span[v]]
             assert set(run) == dominated(z, v), (format(z), v)
-            got, sizes = sweeps(v)
+            a = pos[v]
+            sizes = [b - a for b in sweeps.ends(a, len(order))]
+            got = order[a:a + sizes[-1]]
             want, want_sizes = oracle_sweep(z, v)
             assert sizes == want_sizes and got == run[:sizes[-1]]
             assert all(set(got[:k]) == set(want[:k]) for k in sizes)
             stop = rng.randint(1, len(run))
-            cut, cut_sizes = modules._sweeps(z)(v, stop)
+            fresh = modules._sweeps(z)
+            cut_sizes = [b - a for b in fresh.ends(a, a + stop)]
+            cut = fresh.order[a:a + cut_sizes[-1]]
             assert cut_sizes == [k for k in sizes if k <= stop] == \
                 oracle_sweep(z, v, stop)[1]
             assert cut == got[:cut_sizes[-1]]
@@ -771,3 +776,23 @@ def test_decompose_keeps_one_frame_per_tree_level():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["989"]
+
+
+def test_deep_chain_and_comb_have_their_closed_forms():
+    # the 1,980-node alternating chain is one nested path per node, so a
+    # tree and a k-BT with no branching; the 1,000-level comb is a decision
+    # tree whose 999 levels are each a prime quotient of three nodes: a
+    # spine node, the comb below it and a leaf. Either way the root level
+    # is the witness
+    for z, cyclomatic, essential, kinds in (
+            (alternating_chain(1980), 1, 1,
+             dict(is_kbt=True, is_bt=True, is_tr=False, is_dt=False)),
+            (comb(1000), 1000, 2, dict(is_kbt=False, is_dt=True))):
+        everything = sorted(z.action_of)
+        assert complexity_report(z) == {"cyclomatic": cyclomatic,
+                                        "essential": essential,
+                                        "witness": everything}
+        c = classify(z)
+        assert (c["cyclomatic"], c["essential"]) == (cyclomatic, essential)
+        assert c["witness"] == everything
+        assert {k: c[k] for k in kinds} == kinds
